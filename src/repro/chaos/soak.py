@@ -46,6 +46,7 @@ from repro.chaos.oracles import (
 from repro.comm.allgather import CompiledAllgather
 from repro.core.relation import CommRelation
 from repro.core.spst import SPSTPlanner
+from repro.errors import SimulatorInvariantError
 from repro.faults.injector import FaultInjector
 from repro.faults.log import FaultLog
 from repro.faults.policy import (
@@ -351,7 +352,7 @@ class SoakRunner:
         except (DeviceLostError, UnrecoverableFaultError) as exc:
             error = type(exc).__name__
             detail = str(exc)
-        except RuntimeError as exc:  # deadlock / event-budget blowup
+        except SimulatorInvariantError as exc:  # a simulator bug, not an abort
             error = type(exc).__name__
             detail = str(exc)
         finally:

@@ -36,6 +36,7 @@ __all__ = [
     "AdmissionRejected",
     "DeadlineExpired",
     "ForwardOnlyPlanError",
+    "SimulatorInvariantError",
 ]
 
 
@@ -93,6 +94,17 @@ class DeviceLostError(ReproError, RuntimeError):
             f"device(s) {self.devices} lost at t={time * 1e6:.1f} us; "
             "trainer-level rollback required"
         )
+
+
+class SimulatorInvariantError(ReproError, RuntimeError):
+    """The event simulator or live network broke one of its own invariants.
+
+    Raised for a queue that went backwards, an exhausted event budget,
+    a deadlock, or live flows that can make no progress with no fault
+    injector attached.  Each one is a bug in the simulator or the
+    protocol, never a legitimate abort, so callers that tolerate typed
+    fault outcomes can still report it as a bug.
+    """
 
 
 class SimulatedOOMError(ReproError, RuntimeError):

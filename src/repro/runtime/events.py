@@ -25,6 +25,8 @@ import heapq
 import itertools
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
+from repro.errors import SimulatorInvariantError
+
 __all__ = [
     "Simulator",
     "Process",
@@ -290,17 +292,19 @@ class Simulator:
                 break
             heapq.heappop(self._queue)
             if time < self.now - 1e-15:
-                raise RuntimeError("event queue went backwards")
+                raise SimulatorInvariantError("event queue went backwards")
             self.now = max(self.now, time)
             callback()
             events += 1
             if events > max_events:
-                raise RuntimeError(
+                raise SimulatorInvariantError(
                     "event budget exhausted — livelocked protocol?"
                 )
         stuck = [p.name for p in self._processes if not p.finished]
         if not self._queue and stuck and until is None:
-            raise RuntimeError(f"deadlock: processes never finished: {stuck}")
+            raise SimulatorInvariantError(
+                f"deadlock: processes never finished: {stuck}"
+            )
         return self.now
 
     def shutdown(self) -> List[str]:

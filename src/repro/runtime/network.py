@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.errors import SimulatorInvariantError
 from repro.runtime.events import Event, Simulator
 from repro.simulator.network import DEFAULT_ALPHA, _ActiveFlow, _max_min_rates
 from repro.topology.links import PhysicalConnection
@@ -165,7 +166,9 @@ class LiveNetwork:
                 # re-route; a capacity recovery re-enters via
                 # capacities_changed().
                 return
-            raise RuntimeError("active flows but none can make progress")
+            raise SimulatorInvariantError(
+                "active flows but none can make progress"
+            )
         # Numerical sweep as in the batch engine: sub-microbyte residues
         # complete immediately instead of stalling the clock.
         if soonest_dt <= 0 or soonest.remaining <= max(

@@ -22,20 +22,23 @@ The ``centralized`` mode replaces (3) with a master-driven stage
 barrier, paying a control round-trip per stage — the design §6.1
 rejects; keeping both makes the trade-off measurable.
 
-With a :class:`~repro.faults.injector.FaultInjector` attached (and at
-least one scheduled fault), the runner switches to a *hardened* path:
-flag waits carry per-stage timeouts with exponential backoff and
-bounded retries (a timed-out waiter re-fetches the peer's state, one
-control round-trip each); transfers are stall-checked against actual
-byte progress and, on a confirmed stall, retried, re-routed around the
-dead wire (:func:`repro.faults.repair.alternate_path`) or degraded to
+There is one protocol body.  Every receiver waits for *all* payloads
+that share its (sender, receiver, stage) done flag before its stage
+completes, so a late payload is never forwarded stale.  A
+:class:`~repro.faults.injector.FaultInjector` that schedules at least
+one fault arms the recovery machinery on top of it: flag waits carry
+per-stage timeouts with exponential backoff and bounded retries (a
+timed-out waiter re-fetches the peer's state, one control round-trip
+each); transfers are stall-checked against actual byte progress and,
+on a confirmed stall, retried, re-routed around the dead wire
+(:func:`repro.faults.repair.alternate_path`) or degraded to
 host-memory staging, as chosen by the
 :class:`~repro.faults.policy.RecoveryPolicy`; clients emit heartbeats
 and a master-side failure detector declares a device dead after
 ``miss_limit`` silent windows, aborting the run with a typed
 :class:`~repro.faults.policy.DeviceLostError` for the trainer to catch.
-Without an armed injector the legacy fault-free path runs unchanged —
-same events, same clock, bit-identical timings.
+Without an armed injector none of these timers or processes exist, so
+the run pays for no fault machinery.
 
 Embeddings really move: the runner returns the gathered per-device
 blocks, which the tests compare against
@@ -44,13 +47,14 @@ blocks, which the tests compare against
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.comm.allgather import BufferMaps
-from repro.core.plan import CommPlan, CommTuple
+from repro.core.plan import CommPlan
 from repro.core.relation import CommRelation
 from repro.faults.policy import (
     DefaultPolicy,
@@ -119,17 +123,20 @@ class ProtocolRunner:
         self.flag_latency = flag_latency
         self.control_latency = control_latency
         self.device_delays = dict(device_delays or {})
-        #: Fault machinery; the hardened path runs only when the
-        #: injector actually schedules faults — otherwise the legacy
-        #: code path executes, event for event.
-        self.injector = injector
+        # Imported here: faults.injector imports runtime.events, whose
+        # package imports this module.
+        from repro.faults.injector import FaultInjector
+
+        #: Fault machinery.  Timers, heartbeats and the failure detector
+        #: are armed only when the injector schedules at least one fault.
+        self.injector = injector if injector is not None else FaultInjector()
         self.policy = policy if policy is not None else DefaultPolicy()
         #: Telemetry sinks.  Recording is purely observational — spans
         #: never yield into the simulator, so armed tracing leaves the
         #: event schedule (and therefore all timings) untouched.
         self.tracer = tracer
         self.metrics = metrics
-        # Hardened-path tunables (simulated seconds).
+        # Fault-recovery tunables (simulated seconds), used when armed.
         self.flag_timeout = control_latency * 20
         self.flag_timeout_cap = self.flag_timeout * 64
         self.stall_check = max(alpha * 4, control_latency * 4)
@@ -140,7 +147,7 @@ class ProtocolRunner:
 
         #: The simulator of the most recent run — inspected by the
         #: cleanup regression tests (all processes must be finished or
-        #: closed after an aborted hardened run).
+        #: closed after an aborted run).
         self._last_sim: Optional[Simulator] = None
 
         self._tuples = sorted(plan.tuples(), key=lambda t: t.stage)
@@ -160,162 +167,6 @@ class ProtocolRunner:
             self._recvs[t.dst].setdefault(t.stage, []).append(i)
 
     # ------------------------------------------------------------------
-    @property
-    def _armed(self) -> bool:
-        return self.injector is not None and self.injector.is_armed
-
-    def run(
-        self, local_embeddings: Sequence[np.ndarray]
-    ) -> Tuple[List[np.ndarray], ProtocolReport]:
-        """Execute the allgather; returns (gathered blocks, report).
-
-        With an armed fault injector this dispatches to the hardened
-        protocol, which may raise
-        :class:`~repro.faults.policy.DeviceLostError` (confirmed device
-        death — roll back and repartition) or
-        :class:`~repro.faults.policy.UnrecoverableFaultError` (retry
-        budget exhausted with no surviving route).
-        """
-        if self._armed:
-            return self._run_hardened(local_embeddings)
-        sim = Simulator()
-        network = LiveNetwork(sim, alpha=self.alpha)
-        flags = FlagBoard(sim, flag_latency=self.flag_latency)
-        buffers = self._maps.make_buffers(list(local_embeddings))
-        report = ProtocolReport(total_time=0.0)
-        tracer, metrics = self.tracer, self.metrics
-        base = tracer.now if tracer is not None else 0.0
-
-        registered = [Event() for _ in range(self.num_devices)]
-        start_signal = Event()
-        finished = [Event() for _ in range(self.num_devices)]
-        # Centralized mode: per-stage go signals from the master.
-        stage_go = [Event() for _ in range(self.num_stages)]
-        stage_done_count = [
-            {"left": self.num_devices} for _ in range(self.num_stages)
-        ]
-
-        def master():
-            yield AllOf([WaitEvent(e) for e in registered])
-            yield Timeout(self.control_latency)  # scatter "start"
-            start_signal.trigger()
-            if self.coordination == "centralized":
-                for k in range(self.num_stages):
-                    yield Timeout(self.control_latency)
-                    stage_go[k].trigger()
-                    yield WaitEvent(stage_go_done[k])
-            yield AllOf([WaitEvent(e) for e in finished])
-
-        stage_go_done = [Event() for _ in range(self.num_stages)]
-
-        def sender(device: int, idx: int, done_event: Event):
-            t = self._tuples[idx]
-            wait_start = sim.now
-            # Spin on the peer's ready flag (remote poll latency).
-            yield Timeout(self.flag_latency)
-            yield WaitFlag(flags.ready_flag(t.dst, t.stage), 1)
-            size = t.units * self._bytes_per_unit
-            if tracer is not None:
-                tracer.add_span(
-                    f"wait ready[{t.dst},s{t.stage}]", "flag",
-                    device_track(device), base + wait_start, base + sim.now,
-                    peer=t.dst,
-                )
-            if metrics is not None:
-                metrics.histogram("flag.wait_seconds").observe(
-                    sim.now - wait_start
-                )
-            xfer_start = sim.now
-            handle = network.transfer(t.link.connections, size, tag=idx)
-            yield WaitEvent(handle.done)
-            if tracer is not None:
-                for conn in t.link.connections:
-                    tracer.add_span(
-                        f"{t.src}->{t.dst} s{t.stage}", "comm",
-                        connection_track(conn.name),
-                        base + xfer_start, base + sim.now,
-                        bytes=size, src=t.src, dst=t.dst, stage=t.stage,
-                    )
-            if metrics is not None:
-                for conn in t.link.connections:
-                    metrics.counter("comm.bytes", conn=conn.name).inc(size)
-                metrics.counter("comm.flows").inc()
-            # Payload now sits in the peer's buffer.
-            _, _, src_rows, dst_rows = self._maps.ops[idx]
-            buffers[t.dst][dst_rows] = buffers[device][src_rows]
-            flags.set_done(t.src, t.dst, t.stage)
-            report.transfers += 1
-            done_event.trigger()
-
-        def receiver(device: int, idx: int, done_event: Event):
-            t = self._tuples[idx]
-            wait_start = sim.now
-            yield Timeout(self.flag_latency)
-            yield WaitFlag(flags.done_flag(t.src, t.dst, t.stage), 1)
-            if tracer is not None:
-                tracer.add_span(
-                    f"wait done[{t.src}->{t.dst},s{t.stage}]", "flag",
-                    device_track(device), base + wait_start, base + sim.now,
-                    peer=t.src,
-                )
-            if metrics is not None:
-                metrics.histogram("flag.wait_seconds").observe(
-                    sim.now - wait_start
-                )
-            # Retrieval from the staging buffer is a local copy.
-            done_event.trigger()
-
-        def client(device: int):
-            yield Timeout(self.control_latency)  # connect to the master
-            registered[device].trigger()
-            yield WaitEvent(start_signal)
-            extra = self.device_delays.get(device, 0.0)
-            if extra:
-                yield Timeout(extra)
-            for k in range(self.num_stages):
-                if self.coordination == "centralized":
-                    yield WaitEvent(stage_go[k])
-                stage_start = sim.now
-                flags.set_ready(device, k)
-                waits = []
-                for idx in self._sends[device].get(k, []):
-                    ev = Event()
-                    sim.spawn(sender(device, idx, ev), f"send{idx}")
-                    waits.append(WaitEvent(ev))
-                for idx in self._recvs[device].get(k, []):
-                    ev = Event()
-                    sim.spawn(receiver(device, idx, ev), f"recv{idx}")
-                    waits.append(WaitEvent(ev))
-                if waits:
-                    yield AllOf(waits)
-                report.stage_finish[(device, k)] = sim.now
-                if tracer is not None:
-                    tracer.add_span(
-                        f"stage {k}", "stage", device_track(device),
-                        base + stage_start, base + sim.now,
-                    )
-                if self.coordination == "centralized":
-                    counter = stage_done_count[k]
-                    counter["left"] -= 1
-                    if counter["left"] == 0:
-                        stage_go_done[k].trigger()
-            yield Timeout(self.control_latency)  # notify the master
-            report.device_finish[device] = sim.now
-            finished[device].trigger()
-
-        sim.spawn(master(), "master")
-        for d in range(self.num_devices):
-            sim.spawn(client(d), f"client{d}")
-        self._last_sim = sim
-        total = sim.run()
-        report.total_time = total
-        gathered = [
-            buffers[d][self._maps.out_rows[d]] for d in range(self.num_devices)
-        ]
-        return gathered, report
-
-    # ------------------------------------------------------------------
-    # Hardened protocol (armed fault injector)
     def _staging_path(self, src: int, dst: int):
         """Host-memory staging route (degrade fallback), if still alive."""
         topo = self.plan.topology
@@ -326,21 +177,38 @@ class ProtocolRunner:
             return path
         return None
 
-    def _run_hardened(
+    def run(
         self, local_embeddings: Sequence[np.ndarray]
     ) -> Tuple[List[np.ndarray], ProtocolReport]:
+        """Execute the allgather; returns (gathered blocks, report).
+
+        With an armed fault injector this may raise
+        :class:`~repro.faults.policy.DeviceLostError` (confirmed device
+        death — roll back and repartition) or
+        :class:`~repro.faults.policy.UnrecoverableFaultError` (retry
+        budget exhausted with no surviving route).
+        """
         injector = self.injector
+        armed = injector.is_armed
         policy = self.policy
         log = injector.log
         topo = self.plan.topology
         sim = Simulator()
-        network = LiveNetwork(sim, alpha=self.alpha, capacity_of=injector.capacity_of)
-        flags = FlagBoard(sim, flag_latency=self.flag_latency, injector=injector)
+        # Unarmed, pass no hooks: a capacity hook would turn the
+        # network's "no progress" invariant error into a silent stall.
+        capacity_of = injector.capacity_of if armed else None
+        network = LiveNetwork(sim, alpha=self.alpha, capacity_of=capacity_of)
+        flags = FlagBoard(sim, self.flag_latency, injector if armed else None)
         buffers = self._maps.make_buffers(list(local_embeddings))
         report = ProtocolReport(total_time=0.0)
         tracer, metrics = self.tracer, self.metrics
         base = tracer.now if tracer is not None else 0.0
-        injector.arm(sim, network=network)
+        if armed:
+            injector.arm(sim, network=network)
+        # Unarmed, crash waits race a per-run event that never fires, so
+        # no waiter outlives the run on the injector.
+        never = Event()
+        crash_event = injector.crash_event if armed else (lambda device: never)
 
         registered = [Event() for _ in range(self.num_devices)]
         start_signal = Event()
@@ -348,15 +216,9 @@ class ProtocolRunner:
         all_done = Event()
         stage_go = [Event() for _ in range(self.num_stages)]
         stage_go_done = [Event() for _ in range(self.num_stages)]
-        stage_done_count = [
-            {"left": self.num_devices} for _ in range(self.num_stages)
-        ]
+        stage_left = [self.num_devices] * self.num_stages
         heartbeats = [Flag(f"hb[d{d}]") for d in range(self.num_devices)]
-        end_state = {"time": 0.0}
-        done_total: Dict[Tuple[int, int, int], int] = {}
-        for t in self._tuples:
-            key = (t.src, t.dst, t.stage)
-            done_total[key] = done_total.get(key, 0) + 1
+        done_total = Counter((t.src, t.dst, t.stage) for t in self._tuples)
 
         def master():
             yield AllOf([WaitEvent(e) for e in registered])
@@ -368,11 +230,10 @@ class ProtocolRunner:
                     stage_go[k].trigger()
                     yield WaitEvent(stage_go_done[k])
             yield AllOf([WaitEvent(e) for e in finished])
-            end_state["time"] = sim.now
-            all_done.trigger()
+            all_done.trigger(sim.now)  # payload: the finish time
 
         def heartbeat(device: int):
-            crash_ev = injector.crash_event(device)
+            crash_ev = crash_event(device)
             while True:
                 winner = yield AnyOf(
                     [
@@ -447,12 +308,13 @@ class ProtocolRunner:
             timeout = self.flag_timeout
             attempt = 0
             while True:
-                winner = yield AnyOf(
-                    [WaitFlag(flag, target), Timeout(timeout), WaitEvent(crash_ev)]
-                )
+                conditions = [WaitFlag(flag, target), WaitEvent(crash_ev)]
+                if armed:
+                    conditions.append(Timeout(timeout))
+                winner = yield AnyOf(conditions)
                 if winner == 0:
                     return True
-                if winner == 2:
+                if winner == 1:
                     return False
                 log.append(
                     sim.now,
@@ -517,13 +379,10 @@ class ProtocolRunner:
                 stalled = False
                 rem = size
                 while not stalled:
-                    winner = yield AnyOf(
-                        [
-                            WaitEvent(handle.done),
-                            Timeout(self.stall_check),
-                            WaitEvent(crash_ev),
-                        ]
-                    )
+                    conditions = [WaitEvent(handle.done), WaitEvent(crash_ev)]
+                    if armed:
+                        conditions.append(Timeout(self.stall_check))
+                    winner = yield AnyOf(conditions)
                     if winner == 0:
                         if tracer is not None:
                             for conn in path:
@@ -541,7 +400,7 @@ class ProtocolRunner:
                                 ).inc(size)
                             metrics.counter("comm.flows").inc()
                         return True
-                    if winner == 2:
+                    if winner == 1:
                         network.cancel(handle)
                         return False
                     rem = network.remaining(handle)
@@ -628,7 +487,7 @@ class ProtocolRunner:
 
         def sender(device: int, idx: int, done_event: Event):
             t = self._tuples[idx]
-            crash_ev = injector.crash_event(device)
+            crash_ev = crash_event(device)
             subject = f"send[{t.src}->{t.dst},s{t.stage}]"
             wait_start = sim.now
             ok = yield from await_flag(
@@ -659,10 +518,10 @@ class ProtocolRunner:
 
         def receiver(device: int, idx: int, done_event: Event):
             t = self._tuples[idx]
-            crash_ev = injector.crash_event(device)
+            crash_ev = crash_event(device)
             subject = f"recv[{t.src}->{t.dst},s{t.stage}]"
             # Several vertex classes can share this (src, dst, stage):
-            # gate on ALL of their transfers, or a late repaired payload
+            # gate on ALL of their transfers, or a payload still in flight
             # could be forwarded stale in the next stage.
             target = done_total[(t.src, t.dst, t.stage)]
             wait_start = sim.now
@@ -685,7 +544,7 @@ class ProtocolRunner:
             done_event.trigger()
 
         def client(device: int):
-            crash_ev = injector.crash_event(device)
+            crash_ev = crash_event(device)
             winner = yield AnyOf(
                 [Timeout(self.control_latency), WaitEvent(crash_ev)]
             )
@@ -734,9 +593,8 @@ class ProtocolRunner:
                         base + stage_start, base + sim.now,
                     )
                 if self.coordination == "centralized":
-                    counter = stage_done_count[k]
-                    counter["left"] -= 1
-                    if counter["left"] == 0:
+                    stage_left[k] -= 1
+                    if stage_left[k] == 0:
                         stage_go_done[k].trigger()
             yield Timeout(self.control_latency)  # notify the master
             report.device_finish[device] = sim.now
@@ -745,9 +603,10 @@ class ProtocolRunner:
         sim.spawn(master(), "master")
         for d in range(self.num_devices):
             sim.spawn(client(d), f"client{d}")
-        for d in range(self.num_devices):
-            sim.spawn(heartbeat(d), f"hb{d}")
-            sim.spawn(monitor(d), f"mon{d}")
+        if armed:
+            for d in range(self.num_devices):
+                sim.spawn(heartbeat(d), f"hb{d}")
+                sim.spawn(monitor(d), f"mon{d}")
         self._last_sim = sim
         try:
             sim.run()
@@ -760,7 +619,7 @@ class ProtocolRunner:
             # the buffers/network they pin) never leak across the many
             # runs of a chaos soak.  A clean finish makes this a no-op.
             sim.shutdown()
-        report.total_time = end_state["time"]
+        report.total_time = all_done.payload
         gathered = [
             buffers[d][self._maps.out_rows[d]] for d in range(self.num_devices)
         ]

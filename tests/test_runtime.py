@@ -6,6 +6,7 @@ import pytest
 
 from repro.comm.allgather import CompiledAllgather
 from repro.core import CommRelation, SPSTPlanner
+from repro.errors import SimulatorInvariantError
 from repro.graph.generators import rmat
 from repro.partition import partition
 from repro.runtime import (
@@ -17,7 +18,7 @@ from repro.runtime import (
     WaitFlag,
 )
 from repro.runtime.events import AllOf, Event, WaitEvent
-from repro.topology import dgx1
+from repro.topology import dgx1, topology_for_gpu_count
 from repro.topology.links import LinkKind, PhysicalConnection
 
 
@@ -88,7 +89,7 @@ class TestSimulator:
             yield WaitFlag(Flag("never"), 1)
 
         sim.spawn(stuck(), "stuck")
-        with pytest.raises(RuntimeError, match="deadlock"):
+        with pytest.raises(SimulatorInvariantError, match="deadlock"):
             sim.run()
 
     def test_negative_delay_rejected(self):
@@ -241,6 +242,26 @@ class TestProtocolRunner:
             rel, plan, device_delays={0: 1e-4}
         ).run_timed(256).total_time
         assert slow > base
+
+    @pytest.mark.parametrize("coordination", ["decentralized", "centralized"])
+    def test_shared_key_payload_lands_before_forwarding(self, coordination):
+        """Pinned case beside the hypothesis test in
+        ``test_properties_runtime.py``, whose graphs are too small for
+        this: several vertex classes share one (src, dst, stage) done
+        flag, and a receiver that moved on after the first of them
+        landed forwarded stale rows in the next stage."""
+        graph = rmat(2000, 30000, seed=3)
+        rel = CommRelation(graph, partition(graph, 16, seed=3).assignment, 16)
+        plan = SPSTPlanner(topology_for_gpu_count(16), seed=3).plan(rel)
+        rng = np.random.default_rng(3)
+        h = rng.standard_normal((graph.num_vertices, 64)).astype(np.float32)
+        blocks = [h[rel.local_vertices[d]] for d in range(16)]
+        gathered, _ = ProtocolRunner(
+            rel, plan, coordination=coordination
+        ).run_data(blocks)
+        reference = CompiledAllgather(rel, plan).forward(blocks)
+        for a, b in zip(gathered, reference):
+            assert np.array_equal(a, b)
 
     def test_invalid_coordination(self, workload):
         _, rel, plan = workload
