@@ -20,16 +20,16 @@ session.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.autotune.resolve import PlanResolver
 from repro.comm.allgather import CompiledAllgather
 from repro.core.plan import CommPlan
 from repro.core.relation import CommRelation, LocalGraph
-from repro.core.spst import SPSTPlanner
 from repro.elastic.controller import ElasticPolicy, TransitionReport
-from repro.errors import ElasticSpecError
 from repro.faults.injector import FaultInjector
 from repro.faults.log import FaultLog
 from repro.faults.repair import repair_plan
@@ -129,10 +129,10 @@ class DGCLSession:
     entries).  ``plan_cache`` — a
     :class:`~repro.autotune.cache.PlanCache` or a directory path —
     makes planning persistent: repeated runs on identical inputs load
-    the stored plan, and drifted inputs are patched incrementally.
+    the stored plan, and drifted SPST inputs are patched incrementally.
     ``elastic`` — an :class:`~repro.elastic.controller.ElasticPolicy` —
     governs :meth:`grow`/:meth:`shrink` transitions (floor/ceiling,
-    replan mode); without one, transitions run under the default
+    drain cost); without one, transitions run under the default
     policy.
     """
 
@@ -374,12 +374,12 @@ class DGCLSession:
         Returns a :class:`PlanReport`; the bare plan stays available as
         ``report.plan`` and through :meth:`communication_plan`.
 
-        With a :attr:`plan_cache`, the plan for these exact inputs is
-        loaded instead of computed when present (``plan_source ==
-        "cache"``); on a miss with a drifted sibling entry the cached
-        plan is patched incrementally (``"patched"``, or ``"replanned"``
-        when the patch regressed past the threshold); a cold cache plans
-        normally and stores the result.
+        With a :attr:`plan_cache`, the plan resolves through the one
+        cache -> patch -> cold ladder of
+        :class:`~repro.autotune.resolve.PlanResolver` (``plan_source``
+        names the rung).  Only SPST strategies patch a drifted sibling
+        entry; every other scheme goes from the cache to its own cold
+        planner.
         """
         self._check_open()
         strategy = strategy or self.strategy
@@ -407,10 +407,8 @@ class DGCLSession:
         assignment = np.asarray(assignment, dtype=np.int64)
         self.relation = CommRelation(graph, assignment, self.topology.num_devices)
 
-        key = None
-        self._cache_key = None
+        key = donor = None
         if self.plan_cache is not None:
-            from repro.autotune.cache import PlanCacheError
             from repro.autotune.fingerprint import cache_key
 
             # Key on the *canonical* scheme name and its registered
@@ -423,36 +421,31 @@ class DGCLSession:
                 "seed": seed,
             }
             key = cache_key(graph, assignment, self.topology, config)
-            self._cache_key = key
-            try:
-                plan = self.plan_cache.get(key, self.topology)
-            except PlanCacheError:
-                plan = None  # invalid entry: fall through and replan
-            if plan is not None:
-                return self._install_plan(plan, "cache", engine)
-            donor = self.plan_cache.find_sibling(key)
-            if donor is not None:
-                from repro.autotune.replan import incremental_replan
+            # Only SPST trees patch into SPST plans; every other scheme
+            # goes straight from the cache to its own cold planner.
+            if spec is not None and spec.name in ("dgcl", "dgcl-cache"):
+                donor = partial(self.plan_cache.find_sibling, key)
+        self._cache_key = key
 
-                result = incremental_replan(
-                    donor,
-                    self.relation,
-                    self.topology,
-                    chunks_per_class=chunks_per_class,
-                    seed=seed,
-                )
-                if result.patched:
-                    self.plan_cache.count_patch()
-                self._store_plan(key, result.plan, strategy)
-                return self._install_plan(result.plan, result.source, engine)
+        def stored_meta() -> dict:
+            meta = {"strategy": strategy}
+            if self.tune_report is not None and strategy == "auto":
+                meta["picked"] = self.tune_report.candidate.config()
+            return meta
 
-        plan = self._plan_from_scratch(
-            graph, strategy, seed, chunks_per_class, engine,
-            tune_kwargs=tune_kwargs,
+        resolution = PlanResolver(
+            self.plan_cache, caller="session",
+            chunks_per_class=chunks_per_class, seed=seed,
+        ).resolve(
+            key, self.relation, self.topology,
+            cold=lambda: self._plan_from_scratch(
+                graph, strategy, seed, chunks_per_class, engine,
+                tune_kwargs=tune_kwargs,
+            ),
+            donor=donor,
+            meta=stored_meta,
         )
-        if key is not None:
-            self._store_plan(key, plan, strategy)
-        return self._install_plan(plan, "planned", engine)
+        return self._install_plan(resolution.plan, resolution.source, engine)
 
     def _plan_from_scratch(
         self,
@@ -477,32 +470,13 @@ class DGCLSession:
             )
             self.tune_report = report
             return report.build_plan()
-        spec = resolve_strategy(strategy)
-        if spec.name == "peer-to-peer":
-            from repro.core.baseline_planners import peer_to_peer_plan
-
-            return peer_to_peer_plan(self.relation, self.topology)
-        if spec.name in ("dgcl", "dgcl-cache"):
-            planner = SPSTPlanner(
-                self.topology, chunks_per_class=chunks_per_class, seed=seed,
-                engine=engine,
-            )
-            return planner.plan(self.relation)
-        # Any other plan-based registry scheme (CAGNET trees, delayed
-        # aggregation, custom registrations) compiles via its builder.
-        return spec.build_plan(
+        # Every plan-based registry scheme (SPST, p2p, CAGNET trees,
+        # delayed aggregation, custom registrations) compiles via its
+        # registered builder.
+        return resolve_strategy(strategy).build_plan(
             self.relation, self.topology,
             chunks_per_class=chunks_per_class, seed=seed, engine=engine,
         )
-
-    def _store_plan(self, key, plan: CommPlan, strategy: str) -> None:
-        """Record a freshly built plan in the session's cache."""
-        from repro.autotune.replan import plan_cost
-
-        meta = {"strategy": strategy, "cost_units": plan_cost(plan)}
-        if self.tune_report is not None and strategy == "auto":
-            meta["picked"] = self.tune_report.candidate.config()
-        self.plan_cache.put(key, plan, meta=meta)
 
     def _install_plan(
         self, plan: CommPlan, source: str, engine: str
@@ -794,41 +768,9 @@ class DGCLSession:
     def _elastic_transition(self, kind: str, devices) -> TransitionReport:
         self._check_open()
         policy = self.elastic or ElasticPolicy()
-        delta = sorted(set(int(d) for d in devices))
-        if not delta:
-            raise ElasticSpecError(f"{kind}: empty device set")
-        bad = [d for d in delta if not 0 <= d < self.base_topology.num_devices]
-        if bad:
-            raise ElasticSpecError(
-                f"{kind}: unknown device(s) {bad}: the base topology has "
-                f"{self.base_topology.num_devices} devices"
-            )
-        active = set(self.active_devices)
-        if kind == "grow":
-            overlap = sorted(set(delta) & active)
-            if overlap:
-                raise ElasticSpecError(
-                    f"grow: device(s) {overlap} are already active"
-                )
-            ceiling = policy.max_devices or self.base_topology.num_devices
-            if len(active) + len(delta) > ceiling:
-                raise ElasticSpecError(
-                    f"grow: {len(active)} + {len(delta)} devices exceeds "
-                    f"the policy ceiling of {ceiling}"
-                )
-            after = sorted(active | set(delta))
-        else:
-            missing = sorted(set(delta) - active)
-            if missing:
-                raise ElasticSpecError(
-                    f"shrink: device(s) {missing} are not active"
-                )
-            after = sorted(active - set(delta))
-            if len(after) < max(policy.min_devices, 1):
-                raise ElasticSpecError(
-                    f"shrink: {len(after)} device(s) would remain, policy "
-                    f"floor is {max(policy.min_devices, 1)}"
-                )
+        delta, after = policy.check(
+            kind, devices, self.active_devices, self.base_topology.num_devices
+        )
 
         before = tuple(self.active_devices)
         start = self.simulated_comm_seconds

@@ -14,7 +14,9 @@ The subsystem behind ``strategy="auto"``:
   :class:`PlanCache` those digests address;
 * :mod:`repro.autotune.replan` — incremental replanning that patches a
   cached plan across topology/partition drift, reusing the fault-repair
-  regrowth engine.
+  regrowth engine;
+* :mod:`repro.autotune.resolve` — the one cache -> patch -> cold plan
+  ladder behind the session, mini-batch and elastic planners.
 """
 
 from repro.autotune.cache import CacheStats, PlanCache, PlanCacheError

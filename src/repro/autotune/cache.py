@@ -14,8 +14,9 @@ Safety rules:
   does not match the requested key raise the typed
   :class:`PlanCacheError` — a bad entry is *never* silently used, and
   every rejection is counted as an invalidation;
-* writes are atomic (temp file + rename), so a crashed writer can at
-  worst leave a stale temp file, never a torn entry;
+* writes are atomic (a temp file unique to the writer, then a rename;
+  :func:`repro.cache.atomic_write`), so concurrent writers of one key
+  never collide and a crashed writer never leaves a torn entry;
 * hit/miss/invalidation counters land both on the instance
   (:attr:`PlanCache.stats`) and on the process-wide
   :func:`repro.obs.metrics.global_metrics` registry under
@@ -23,8 +24,9 @@ Safety rules:
 
 Beyond the exact lookup, :meth:`PlanCache.find_sibling` retrieves an
 entry that matches on graph + config but differs in topology or
-partition — the raw material of incremental replanning
-(:mod:`repro.autotune.replan`).
+partition — the donor of the session's patch rung in the one plan
+ladder (:mod:`repro.autotune.resolve`, described in
+``docs/autotune.md``).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.autotune.fingerprint import CacheKey
+from repro.cache import atomic_write
 from repro.core.plan import CommPlan
 from repro.core.serialize import plan_from_jsonable, plan_to_jsonable
 from repro.obs.metrics import global_metrics
@@ -181,10 +184,7 @@ class PlanCache:
             "plan": plan_to_jsonable(plan),
         }
         path = self.path_for(key)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, separators=(",", ":"))
-        os.replace(tmp, path)
+        atomic_write(path, json.dumps(doc, separators=(",", ":")).encode())
         self._count("stores")
         return path
 
@@ -210,10 +210,7 @@ class PlanCache:
         entry_meta = dict(doc.get("meta") or {})
         entry_meta.update(meta)
         doc["meta"] = entry_meta
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, separators=(",", ":"))
-        os.replace(tmp, path)
+        atomic_write(path, json.dumps(doc, separators=(",", ":")).encode())
         self._count("annotations")
         return path
 

@@ -25,8 +25,9 @@ inputs in three moves:
 
 The patch is only kept while it stays competitive: when the patched
 plan's cost model time exceeds ``threshold`` times the cost the entry
-recorded at store time, the patch is discarded and SPST replans from
-scratch (the drift was too large for surgery to pay off).
+recorded at store time, the patch is rejected (the drift was too large
+for surgery to pay off) and the caller plans from scratch — see
+:mod:`repro.autotune.resolve`, the one place that does.
 """
 
 from __future__ import annotations
@@ -40,16 +41,14 @@ from repro.core.cost_model import StagedCostModel
 from repro.core.plan import CommPlan, VertexClassRoute
 from repro.core.relation import CommRelation
 from repro.core.serialize import link_table, route_from_jsonable
-from repro.core.spst import SPSTPlanner
 from repro.faults.policy import UnrecoverableFaultError
 from repro.faults.repair import regrow_routes
-from repro.obs.metrics import global_metrics
 from repro.topology.topology import Topology
 
 __all__ = ["ReplanResult", "incremental_replan", "plan_cost"]
 
 #: Patched plans costing more than this multiple of the donor entry's
-#: recorded cost trigger a from-scratch replan.
+#: recorded cost are rejected.
 DEFAULT_THRESHOLD = 1.5
 
 Signature = Tuple[int, Tuple[int, ...]]
@@ -57,9 +56,13 @@ Signature = Tuple[int, Tuple[int, ...]]
 
 @dataclass
 class ReplanResult:
-    """Outcome of one incremental replanning attempt."""
+    """Outcome of one incremental replanning attempt.
 
-    plan: CommPlan
+    A rejected patch (``source == "replanned"``) carries no plan: the
+    caller plans from scratch.
+    """
+
+    plan: Optional[CommPlan]
     source: str  # "patched" or "replanned"
     reused_routes: int = 0
     regrown_routes: int = 0
@@ -72,17 +75,6 @@ class ReplanResult:
         """True when the cached trees were surgically reused."""
         return self.source == "patched"
 
-    def as_dict(self) -> dict:
-        """JSON-able view for reports and CLI output."""
-        return {
-            "source": self.source,
-            "reused_routes": self.reused_routes,
-            "regrown_routes": self.regrown_routes,
-            "dropped_routes": self.dropped_routes,
-            "patched_cost": self.patched_cost,
-            "baseline_cost": self.baseline_cost,
-        }
-
 
 def plan_cost(plan: CommPlan) -> float:
     """``t(S)`` of a plan in unit-seconds (§5.1 staged cost model)."""
@@ -90,23 +82,6 @@ def plan_cost(plan: CommPlan) -> float:
     for route in plan.routes:
         model.add_path(list(route.edges), route.weight)
     return model.total_cost()
-
-
-def _full_replan(
-    relation: CommRelation,
-    topology: Topology,
-    chunks_per_class: int,
-    seed: int,
-    name: str,
-) -> CommPlan:
-    """The from-scratch fallback: plain SPST on the new inputs."""
-    planner = SPSTPlanner(
-        topology,
-        granularity="chunk",
-        chunks_per_class=chunks_per_class,
-        seed=seed,
-    )
-    return planner.plan(relation, name=name)
 
 
 def incremental_replan(
@@ -125,10 +100,9 @@ def incremental_replan(
     ``relation`` and ``topology`` are the *new* planning inputs.  See
     the module docstring for the resolve / reconcile / regrow moves.
 
-    Falls back to a from-scratch SPST plan — reported with
-    ``source="replanned"`` — when the patched plan's modelled cost
-    exceeds ``threshold`` times the donor entry's recorded cost, or
-    when regrowth cannot serve a class at all.
+    Rejects the patch — ``source="replanned"`` with no plan — when the
+    patched plan's modelled cost exceeds ``threshold`` times the donor
+    entry's recorded cost, or when regrowth cannot serve a class at all.
     """
     plan_doc = doc.get("plan", doc)
     meta = doc.get("meta", {}) or {}
@@ -202,36 +176,21 @@ def incremental_replan(
     try:
         repaired, degraded = regrow_routes(topology, kept, broken, seed=seed)
     except UnrecoverableFaultError:
-        plan = _full_replan(relation, topology, chunks_per_class, seed, name)
-        global_metrics().counter("autotune.replan", outcome="replanned").inc()
         return ReplanResult(
-            plan=plan,
+            plan=None,
             source="replanned",
             dropped_routes=dropped,
-            patched_cost=plan_cost(plan),
             baseline_cost=baseline,
         )
 
     patched = CommPlan(topology, kept + repaired + degraded, name=name)
     cost = plan_cost(patched)
-    if baseline is not None and cost > threshold * float(baseline):
-        # Drift too large: surgery produced a worse plan than the donor
-        # promised; pay for a full plan instead.
-        plan = _full_replan(relation, topology, chunks_per_class, seed, name)
-        global_metrics().counter("autotune.replan", outcome="replanned").inc()
-        return ReplanResult(
-            plan=plan,
-            source="replanned",
-            reused_routes=len(kept),
-            regrown_routes=len(repaired) + len(degraded),
-            dropped_routes=dropped,
-            patched_cost=plan_cost(plan),
-            baseline_cost=baseline,
-        )
-    global_metrics().counter("autotune.replan", outcome="patched").inc()
+    # Drift too large: surgery produced a worse plan than the donor
+    # promised, so the patch is rejected.
+    rejected = baseline is not None and cost > threshold * float(baseline)
     return ReplanResult(
-        plan=patched,
-        source="patched",
+        plan=None if rejected else patched,
+        source="replanned" if rejected else "patched",
         reused_routes=len(kept),
         regrown_routes=len(repaired) + len(degraded),
         dropped_routes=dropped,

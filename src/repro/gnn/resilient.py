@@ -217,8 +217,9 @@ class ResilientTrainer:
 
         The base trainer always plans from scratch;
         :class:`~repro.elastic.controller.ElasticController` overrides
-        this with a memo/patch ladder so planned transitions reuse
-        surviving trees instead of paying Table 8's full planning cost.
+        this with the cache/patch plan ladder so planned transitions
+        reuse surviving trees instead of paying Table 8's full planning
+        cost.
         """
         return SPSTPlanner(topology, seed=self.seed).plan(relation)
 

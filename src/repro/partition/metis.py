@@ -29,7 +29,11 @@ import numpy as np
 
 from repro.graph.csr import Graph
 
-__all__ = ["PartitionResult", "partition", "edge_cut"]
+__all__ = ["PARTITIONER_VERSION", "PartitionResult", "partition", "edge_cut"]
+
+#: Version of this partitioner and the hierarchical split built on it;
+#: keys the on-disk assignment cache.  Bump it when assignments move.
+PARTITIONER_VERSION = 1
 
 
 @dataclass(frozen=True)

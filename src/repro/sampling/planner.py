@@ -3,27 +3,15 @@
 Full-graph DGCL plans once and trains forever; sampled training needs
 a *fresh* communication plan for every batch, which turns planning into
 a hot path (thousands of plans per epoch).  The :class:`BatchPlanner`
-keeps that path fast with a three-level ladder, cheapest first:
-
-1. **cache** — the batch's sampled subgraph is fingerprinted
-   (:func:`repro.autotune.fingerprint.subgraph_fingerprint` — cheap:
-   the parent digest is memoised) into the shared content-addressed
-   :class:`~repro.autotune.cache.PlanCache`; an exact entry skips
-   planning entirely;
-2. **patch** — consecutive batches sample overlapping neighborhoods,
-   so their multicast classes mostly share (source, destination-set)
-   signatures: the previous batch's plan is the donor for
-   :func:`~repro.autotune.replan.incremental_replan`, which reuses
-   matching trees and regrows only the new classes, falling back to a
-   cold plan when the patched cost regresses past the 1.5x threshold;
-3. **plan** — cold SPST on the batch relation (first batch, or the
-   fallback).
-
-Every outcome lands on :func:`repro.obs.metrics.global_metrics` (and
-an optional per-planner registry) under ``sampling.batch_plan`` so
-``repro profile`` and the soak summaries can attribute per-batch
-planning time, and the ladder's sustained plans/sec is what
-``bench_sampling.py`` measures.
+keeps that path fast by resolving every batch through the one plan
+ladder of :class:`~repro.autotune.resolve.PlanResolver` (described in
+``docs/autotune.md``): the store is the shared
+:class:`~repro.autotune.cache.PlanCache`, keyed by the sampled subgraph
+(:func:`repro.autotune.fingerprint.subgraph_fingerprint` — cheap: the
+parent digest is memoised); the donor is the previous batch's plan,
+since consecutive batches sample overlapping neighborhoods.
+Resolutions land on :class:`BatchPlanStats`, whose sustained plans/sec
+is what ``bench_sampling.py`` measures.
 """
 
 from __future__ import annotations
@@ -34,7 +22,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.autotune.cache import PlanCache, PlanCacheError
+from repro.autotune.cache import PlanCache
 from repro.autotune.fingerprint import (
     CacheKey,
     config_fingerprint,
@@ -42,17 +30,12 @@ from repro.autotune.fingerprint import (
     subgraph_fingerprint,
     topology_fingerprint,
 )
-from repro.autotune.replan import (
-    DEFAULT_THRESHOLD,
-    incremental_replan,
-    plan_cost,
-)
+from repro.autotune.resolve import PlanResolver
 from repro.core.plan import CommPlan
 from repro.core.relation import CommRelation
-from repro.core.serialize import plan_to_jsonable
 from repro.core.spst import SPSTPlanner
 from repro.graph.csr import Graph
-from repro.obs.metrics import MetricsRegistry, global_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.sampling.samplers import SampledSubgraph
 from repro.topology.topology import Topology
 
@@ -64,11 +47,9 @@ class PlannedBatch:
     """One mini-batch, ready to execute: subgraph + relation + plan.
 
     ``plan_source`` says which rung of the ladder produced the plan:
-    ``"cache"`` (exact fingerprint hit), ``"patched"`` (previous
-    batch's trees reused through ``incremental_replan``),
-    ``"replanned"`` (patch attempted but regressed past the cost
-    threshold) or ``"planned"`` (cold SPST).  ``wall_seconds`` is the
-    planning time of this batch alone.
+    ``"cache"``, ``"patched"`` (the previous batch's trees reused),
+    ``"replanned"`` or ``"planned"``.  ``wall_seconds`` is the planning
+    time of this batch alone.
     """
 
     subgraph: SampledSubgraph
@@ -123,7 +104,8 @@ class BatchPlanner:
     the same device whether it arrived in a mini-batch or the full
     graph.  ``plan_cache`` (optional) makes exact repeats free across
     epochs and processes; ``incremental`` (default) arms the
-    patch-from-previous-batch rung.
+    patch-from-previous-batch rung; ``metrics`` (optional) counts
+    resolutions beside the global registry.
     """
 
     def __init__(
@@ -134,7 +116,6 @@ class BatchPlanner:
         plan_cache: Optional[PlanCache] = None,
         chunks_per_class: int = 4,
         seed: int = 0,
-        threshold: float = DEFAULT_THRESHOLD,
         incremental: bool = True,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -147,9 +128,7 @@ class BatchPlanner:
         self.plan_cache = plan_cache
         self.chunks_per_class = int(chunks_per_class)
         self.seed = int(seed)
-        self.threshold = float(threshold)
         self.incremental = bool(incremental)
-        self.metrics = metrics
         self.stats = BatchPlanStats()
         self._topology_fp = topology_fingerprint(topology)
         self._config = {
@@ -158,8 +137,13 @@ class BatchPlanner:
             "seed": self.seed,
         }
         self._config_fp = config_fingerprint(self._config)
-        #: Previous batch's plan as an in-memory donor document for
-        #: incremental_replan (same envelope a cache entry carries).
+        self._resolver = PlanResolver(
+            plan_cache, caller="sampling",
+            chunks_per_class=self.chunks_per_class, seed=self.seed,
+            patched_name="spst-minibatch", metrics=metrics,
+        )
+        #: Previous batch's plan as an in-memory donor document (same
+        #: envelope a cache entry carries).
         self._donor: Optional[dict] = None
 
     # ------------------------------------------------------------------
@@ -175,24 +159,12 @@ class BatchPlanner:
             config=self._config_fp,
         )
 
-    def _count(self, source: str, wall: float) -> None:
-        """Record one batch on the instance stats and both registries."""
-        self.stats.record(source, wall)
-        for registry in (global_metrics(), self.metrics):
-            if registry is None:
-                continue
-            registry.counter("sampling.batch_plan", source=source).inc()
-            registry.histogram("sampling.plan_wall_seconds").observe(wall)
-
     def _cold_plan(self, relation: CommRelation) -> CommPlan:
-        """Rung 3: plain SPST on the batch relation."""
-        planner = SPSTPlanner(
-            self.topology,
-            granularity="chunk",
-            chunks_per_class=self.chunks_per_class,
+        """The cold rung: plain chunked SPST on the batch relation."""
+        return SPSTPlanner(
+            self.topology, chunks_per_class=self.chunks_per_class,
             seed=self.seed,
-        )
-        return planner.plan(relation, name="spst-minibatch")
+        ).plan(relation, name="spst-minibatch")
 
     def plan_batch(self, batch: SampledSubgraph) -> PlannedBatch:
         """Plan one sampled batch through the cache/patch/plan ladder."""
@@ -202,52 +174,20 @@ class BatchPlanner:
             batch.graph, sub_assignment, self.topology.num_devices
         )
         key = self.batch_key(batch)
-
-        plan = None
-        source = None
-        if self.plan_cache is not None:
-            try:
-                plan = self.plan_cache.get(key, self.topology)
-            except PlanCacheError:
-                plan = None  # invalid entry: fall through and replan
-            if plan is not None:
-                source = "cache"
-
-        if plan is None and self.incremental and self._donor is not None:
-            result = incremental_replan(
-                self._donor,
-                relation,
-                self.topology,
-                chunks_per_class=self.chunks_per_class,
-                threshold=self.threshold,
-                seed=self.seed,
-                name="spst-minibatch",
-            )
-            plan, source = result.plan, result.source
-            if result.patched and self.plan_cache is not None:
-                self.plan_cache.count_patch()
-
-        if plan is None:
-            plan = self._cold_plan(relation)
-            source = "planned"
-
-        if self.plan_cache is not None and source != "cache":
-            self.plan_cache.put(
-                key, plan,
-                meta={"strategy": "spst-minibatch",
-                      "cost_units": plan_cost(plan)},
-            )
-        self._donor = {
-            "plan": plan_to_jsonable(plan),
-            "meta": {"cost_units": plan_cost(plan)},
-        }
+        resolution = self._resolver.resolve(
+            key, relation, self.topology,
+            cold=lambda: self._cold_plan(relation),
+            donor=(lambda: self._donor) if self.incremental else None,
+            meta=lambda: {"strategy": "spst-minibatch"},
+        )
+        self._donor = resolution.as_donor()
         wall = time.perf_counter() - start
-        self._count(source, wall)
+        self.stats.record(resolution.source, wall)
         return PlannedBatch(
             subgraph=batch,
             relation=relation,
-            plan=plan,
-            plan_source=source,
+            plan=resolution.plan,
+            plan_source=resolution.source,
             key=key,
             wall_seconds=wall,
         )

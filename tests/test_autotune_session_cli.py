@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from repro.api import DGCLSession
+from repro.core.serialize import plan_to_jsonable
+from repro.graph.generators import rmat
 from repro.topology.presets import dgx1
 from repro.__main__ import main
 
@@ -73,6 +75,32 @@ class TestSessionAuto:
         if drifted.plan_source == "patched":
             assert drifted.plan_cache.stats.patches == 1
         plan.validate(drifted.relation)
+
+    @pytest.mark.parametrize("strategy", ["p2p", "cagnet-1.5d"])
+    def test_drift_of_non_spst_scheme_plans_its_own_cold_plan(
+        self, strategy, tmp_path
+    ):
+        """Only SPST patches: a drifted p2p or CAGNET build must not
+        come back as a multi-stage SPST-patched plan."""
+        graph = rmat(2000, 30000, seed=3)
+        topo = dgx1()
+        base = DGCLSession(topo, strategy=strategy, plan_cache=tmp_path)
+        base.build_comm_info(graph)
+
+        rng = np.random.default_rng(0)
+        moved = base.relation.assignment.copy()
+        idx = rng.choice(graph.num_vertices, size=10, replace=False)  # 0.5%
+        moved[idx] = (moved[idx] + 1) % topo.num_devices
+
+        drifted = DGCLSession(topo, strategy=strategy, plan_cache=tmp_path)
+        report = drifted.build_comm_info(graph, assignment=moved)
+        assert report.plan_source == "planned"
+        cold = DGCLSession(topo, strategy=strategy).build_comm_info(
+            graph, assignment=moved
+        )
+        assert plan_to_jsonable(report.plan) == plan_to_jsonable(cold.plan)
+        if strategy == "p2p":
+            assert report.num_stages == 1
 
 
 class TestCLI:

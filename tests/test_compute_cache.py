@@ -115,6 +115,22 @@ class TestDiskCache:
         cached_assignment(("x",), 3, compute)
         assert len(calls) == 2
 
+    def test_partitioner_version_keys_entries(self, tmp_path, monkeypatch):
+        import repro.cache
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return np.zeros(3, dtype=np.int64)
+
+        cached_assignment(("v",), 3, compute)
+        monkeypatch.setattr(repro.cache, "PARTITIONER_VERSION", -1)
+        cached_assignment(("v",), 3, compute)
+        assert len(calls) == 2  # a new partitioner never reads old entries
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_size_mismatch_recomputes(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         cached_assignment(("y",), 4, lambda: np.zeros(4, dtype=np.int64))

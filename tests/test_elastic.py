@@ -68,7 +68,7 @@ class TestElasticController:
         trainer.shrink([6, 7])
         assert sorted(trainer.devices) == list(range(6))
         trainer.grow([6, 7])
-        assert trainer.transitions[-1].plan_source == "memo"
+        assert trainer.transitions[-1].plan_source == "cache"
         # The memoised plan is byte-for-byte the cold plan of that set.
         assert plan_to_jsonable(trainer.plan) == first_doc
         part = hierarchical_partition(g, dgx1(), seed=trainer.seed)
@@ -89,7 +89,7 @@ class TestElasticController:
         assert sorted(trainer.devices) == list(range(8))
         # Re-entered device sets come from the memo, not a re-plan.
         sources = [t.plan_source for t in trainer.transitions]
-        assert sources[2:] == ["memo", "memo"]
+        assert sources[2:] == ["cache", "cache"]
         reference = SingleDeviceTrainer(g, _model(), features, labels)
         ref = reference.train(trainer.epoch)
         assert np.allclose(ref, trainer.losses, rtol=1e-4)
@@ -167,10 +167,6 @@ class TestElasticController:
             ElasticPolicy(min_devices=0)
         with pytest.raises(ElasticSpecError):
             ElasticPolicy(min_devices=4, max_devices=2)
-        with pytest.raises(ElasticSpecError):
-            ElasticPolicy(replan="sometimes")
-        with pytest.raises(ElasticSpecError):
-            ElasticPolicy(threshold=0.0)
 
 
 class TestRepairPlanAdditions:
