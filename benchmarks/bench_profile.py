@@ -30,6 +30,7 @@ from repro.obs import (
     FlightRecorder,
     MetricsRegistry,
     RunProfile,
+    Telemetry,
     Tracer,
     profile_json,
 )
@@ -53,8 +54,11 @@ def _profile_once(dataset: str) -> RunProfile:
     tracer, metrics = Tracer(), MetricsRegistry()
     auditor = CostModelAuditor(metrics=metrics)
     recorder = FlightRecorder()
-    result = evaluate_scheme(w, scheme="dgcl", tracer=tracer, metrics=metrics,
-                             auditor=auditor, recorder=recorder)
+    result = evaluate_scheme(
+        w, scheme="dgcl",
+        telemetry=Telemetry(tracer=tracer, metrics=metrics, auditor=auditor,
+                            recorder=recorder),
+    )
     assert result.ok, result.status
     return RunProfile.from_recorder(recorder, audit=auditor, meta={
         "source": "bench", "dataset": dataset, "gpus": NUM_GPUS,
@@ -71,7 +75,9 @@ def _fig10_delta(dataset: str) -> float:
     fig10_error = (actual - estimated) / estimated
 
     auditor = CostModelAuditor()
-    PlanExecutor(w.topology, auditor=auditor).execute(plan, bpu)
+    PlanExecutor(
+        w.topology, telemetry=Telemetry(auditor=auditor)
+    ).execute(plan, bpu)
     return abs(auditor.records[-1].signed_error - fig10_error)
 
 

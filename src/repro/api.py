@@ -38,6 +38,7 @@ from repro.graph.csr import Graph
 from repro.obs.audit import CostModelAuditor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import FlightRecorder, RunProfile
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.obs.tracer import TRAINER_TRACK, Tracer
 from repro.partition.hierarchical import hierarchical_partition
 from repro.runtime.bootstrap import simulate_bootstrap
@@ -193,12 +194,8 @@ class DGCLSession:
         self.executor = PlanExecutor(topology)
         #: Simulated seconds spent in communication since init.
         self.simulated_comm_seconds = 0.0
-        #: Telemetry sinks: None until :meth:`arm_telemetry` is called.
-        self.tracer: Optional[Tracer] = None
-        self.metrics: Optional[MetricsRegistry] = None
-        #: Profiling sinks (also armed by :meth:`arm_telemetry`).
-        self.auditor: Optional[CostModelAuditor] = None
-        self.recorder: Optional[FlightRecorder] = None
+        #: Telemetry sinks: unarmed until :meth:`arm_telemetry`.
+        self.telemetry: Telemetry = NULL_TELEMETRY
         #: Plan-cache key of the active plan (annotation target).
         self._cache_key = None
         #: Audit records already propagated to the plan cache.
@@ -241,10 +238,7 @@ class DGCLSession:
         self.relation = None
         self.plan_source = None
         self.injector = None
-        self.tracer = None
-        self.metrics = None
-        self.auditor = None
-        self.recorder = None
+        self.telemetry = NULL_TELEMETRY
         global _SESSION
         if _SESSION is self:
             _SESSION = None
@@ -271,25 +265,24 @@ class DGCLSession:
         The priced timings themselves are unchanged — telemetry is
         strictly post-hoc.  Returns the session for chaining.
         """
-        self.tracer = tracer if tracer is not None else Tracer()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.auditor = (
-            auditor if auditor is not None
-            else CostModelAuditor(metrics=self.metrics)
+        tracer = tracer if tracer is not None else Tracer()
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self.telemetry = Telemetry(
+            tracer=tracer,
+            metrics=metrics,
+            auditor=(auditor if auditor is not None
+                     else CostModelAuditor(metrics=metrics)),
+            recorder=recorder if recorder is not None else FlightRecorder(),
         )
-        self.recorder = recorder if recorder is not None else FlightRecorder()
-        if self.tracer.now < self.simulated_comm_seconds:
-            self.tracer.advance(self.simulated_comm_seconds - self.tracer.now)
+        if tracer.now < self.simulated_comm_seconds:
+            tracer.advance(self.simulated_comm_seconds - tracer.now)
         self.executor = self._build_executor()
         return self
 
     def _build_executor(self, capacity_of=None) -> PlanExecutor:
         """An executor on the active topology with the armed sinks."""
-        return PlanExecutor(
-            self.topology, capacity_of=capacity_of,
-            tracer=self.tracer, metrics=self.metrics,
-            auditor=self.auditor, recorder=self.recorder,
-        )
+        return PlanExecutor(self.topology, capacity_of=capacity_of,
+                            telemetry=self.telemetry)
 
     def inject_faults(self, fault_plan) -> FaultInjector:
         """Attach a :class:`~repro.faults.spec.FaultPlan` to the session.
@@ -436,6 +429,7 @@ class DGCLSession:
         resolution = PlanResolver(
             self.plan_cache, caller="session",
             chunks_per_class=chunks_per_class, seed=seed,
+            telemetry=self.telemetry,
         ).resolve(
             key, self.relation, self.topology,
             cold=lambda: self._plan_from_scratch(
@@ -535,9 +529,8 @@ class DGCLSession:
                 # schedule the session runtime cannot honour.
                 staleness_options=(0,) if plan_based_only else None,
             )
-        if self.auditor is not None:
-            # An armed session audits the tuner's full-fidelity rung too.
-            kwargs.setdefault("auditor", self.auditor)
+        # An armed session audits the tuner's full-fidelity rung too.
+        kwargs.setdefault("telemetry", self.telemetry)
         tuner = AutoTuner(
             graph,
             self.topology,
@@ -617,7 +610,7 @@ class DGCLSession:
             chunks_per_class=chunks_per_class,
             seed=seed,
             incremental=incremental,
-            metrics=self.metrics,
+            telemetry=self.telemetry,
         )
         return loader, sampler, planner
 
@@ -669,12 +662,13 @@ class DGCLSession:
     def _advance(self, report, name: str) -> None:
         """Advance the session clock (and, if armed, the trace clock)."""
         self.simulated_comm_seconds += report.total_time
-        if self.tracer is not None:
-            t0 = self.tracer.now
-            self.tracer.add_span(name, "phase", TRAINER_TRACK, t0,
-                                 t0 + report.total_time,
-                                 bytes=report.bytes_moved())
-            self.tracer.advance(report.total_time)
+        tracer = self.telemetry.tracer
+        if tracer is not None:
+            t0 = tracer.now
+            tracer.add_span(name, "phase", TRAINER_TRACK, t0,
+                            t0 + report.total_time,
+                            bytes=report.bytes_moved())
+            tracer.advance(report.total_time)
         self._annotate_cache()
 
     def _annotate_cache(self) -> None:
@@ -686,15 +680,16 @@ class DGCLSession:
         counts stores).  Best effort: a missing or foreign entry is
         simply skipped.
         """
+        auditor = self.telemetry.auditor
         if (
-            self.auditor is None
+            auditor is None
             or self.plan_cache is None
             or self._cache_key is None
-            or len(self.auditor.records) <= self._audit_seen
+            or len(auditor.records) <= self._audit_seen
         ):
             return
-        record = self.auditor.records[-1]
-        self._audit_seen = len(self.auditor.records)
+        record = auditor.records[-1]
+        self._audit_seen = len(auditor.records)
         error = record.signed_error
         self.plan_cache.annotate(
             self._cache_key,
@@ -713,7 +708,7 @@ class DGCLSession:
         embedded cost-model audit.
         """
         self._check_open()
-        if self.recorder is None:
+        if self.telemetry.recorder is None:
             raise RuntimeError(
                 "call arm_telemetry() before profile(): the flight "
                 "recorder is what captures the collectives"
@@ -725,7 +720,7 @@ class DGCLSession:
         }
         info.update(meta or {})
         return RunProfile.from_recorder(
-            self.recorder, audit=self.auditor, meta=info
+            self.telemetry.recorder, audit=self.telemetry.auditor, meta=info
         )
 
     def local_graphs(self) -> List[LocalGraph]:
@@ -816,16 +811,17 @@ class DGCLSession:
             f"{len(before)}->{len(after)} devices via {plan_source} plan; "
             f"downtime {downtime * 1e6:.1f} us",
         )
-        if self.metrics is not None:
-            self.metrics.counter("elastic.transition", kind=action).inc()
-        if self.tracer is not None:
-            self.tracer.add_span(
+        tracer, metrics = self.telemetry.tracer, self.telemetry.metrics
+        if metrics is not None:
+            metrics.counter("elastic.transition", kind=action).inc()
+        if tracer is not None:
+            tracer.add_span(
                 action, "phase", TRAINER_TRACK, start,
                 self.simulated_comm_seconds,
                 devices=len(after), plan=plan_source,
             )
-            if self.tracer.now < self.simulated_comm_seconds:
-                self.tracer.advance(self.simulated_comm_seconds - self.tracer.now)
+            if tracer.now < self.simulated_comm_seconds:
+                tracer.advance(self.simulated_comm_seconds - tracer.now)
         report = TransitionReport(
             kind=kind,
             delta=tuple(delta),

@@ -20,7 +20,7 @@ from repro.core.plan import CommPlan
 from repro.core.relation import CommRelation
 from repro.core.serialize import plan_to_jsonable
 from repro.errors import PlanCacheError
-from repro.obs.metrics import MetricsRegistry, global_metrics
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.topology.topology import Topology
 
 __all__ = ["MemoryPlanStore", "PlanResolver", "Resolution"]
@@ -70,9 +70,10 @@ class PlanResolver:
     """The cache -> patch -> cold ladder for one caller.
 
     ``store`` is the exact-hit rung (None skips it and stores nothing);
-    ``caller`` labels the ``plan.resolve`` metric, also counted on the
-    optional ``metrics`` registry; ``chunks_per_class``, ``seed`` and
-    ``patched_name`` shape patched plans.
+    ``caller`` labels the ``plan.resolve`` metric, counted on
+    ``telemetry.metrics`` when that registry is set;
+    ``chunks_per_class``, ``seed`` and ``patched_name`` shape patched
+    plans.
     """
 
     def __init__(
@@ -83,14 +84,14 @@ class PlanResolver:
         chunks_per_class: int = 4,
         seed: int = 0,
         patched_name: str = "spst-patched",
-        metrics: Optional[MetricsRegistry] = None,
+        telemetry: Telemetry = NULL_TELEMETRY,
     ) -> None:
         self.store = store
         self.caller = caller
         self.chunks_per_class = chunks_per_class
         self.seed = seed
         self.patched_name = patched_name
-        self.metrics = metrics
+        self.telemetry = telemetry
 
     def resolve(
         self,
@@ -118,10 +119,10 @@ class PlanResolver:
                 entry = dict(meta() if meta is not None else {})
                 entry["cost_units"] = resolution.cost
                 self.store.put(key, resolution.plan, meta=entry)
-        for registry in (global_metrics(), self.metrics):
-            if registry is not None:
-                registry.counter("plan.resolve", source=resolution.source,
-                                 caller=self.caller).inc()
+        metrics = self.telemetry.metrics
+        if metrics is not None:
+            metrics.counter("plan.resolve", source=resolution.source,
+                            caller=self.caller).inc()
         return resolution
 
     def _lookup(self, key, topology: Topology) -> Optional[Resolution]:

@@ -40,8 +40,9 @@ from repro.core.spst import SPSTPlanner
 from repro.graph.csr import Graph
 from repro.graph.datasets import DATASETS, DatasetSpec, load_dataset
 from repro.gnn.models import GNNModel, build_model
-from repro.obs.metrics import MetricsRegistry, global_metrics
-from repro.obs.tracer import TRAINER_TRACK, Tracer
+from repro.obs.metrics import global_metrics
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.tracer import TRAINER_TRACK
 from repro.partition.hierarchical import hierarchical_partition
 from repro.partition.replication import replication_closure
 from repro.simulator.compute import (
@@ -165,7 +166,7 @@ class Workload:
 
     @staticmethod
     def _count_cache(name: str, hit: bool) -> None:
-        """Account a plan-cache lookup on the process-wide registry."""
+        """Account a memo-table lookup on the process-wide registry."""
         global_metrics().counter(
             "cache.lookups", cache=name, outcome="hit" if hit else "miss"
         ).inc()
@@ -318,7 +319,7 @@ def _planned_comm_time(
     the feature boundary needs no per-epoch allgather.
     """
     executor = executor or PlanExecutor(workload.topology)
-    tracer = executor.tracer
+    tracer = executor.telemetry.tracer
     boundaries = workload.boundary_bytes()
     first = 1 if cache_features else 0
     forward = 0.0
@@ -365,12 +366,9 @@ def _planned_comm_time(
 def _evaluate_partitioned(
     workload: Workload, scheme: str, plan: CommPlan, nonatomic: bool,
     cache_features: bool = False,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
     methods: Optional["MethodTable"] = None,
     fidelity: str = "event",
-    auditor=None,
-    recorder=None,
+    telemetry: Telemetry = NULL_TELEMETRY,
 ) -> SchemeResult:
     try:
         workload.check_partition_memory(cache_features=cache_features)
@@ -383,11 +381,9 @@ def _evaluate_partitioned(
             compute_time=compute,
         )
     executor = None
-    if (tracer is not None or metrics is not None or methods is not None
-            or auditor is not None or recorder is not None):
-        executor = PlanExecutor(workload.topology, tracer=tracer,
-                                metrics=metrics, methods=methods,
-                                auditor=auditor, recorder=recorder)
+    if telemetry.armed or methods is not None:
+        executor = PlanExecutor(workload.topology, methods=methods,
+                                telemetry=telemetry)
     comm = _planned_comm_time(workload, plan, nonatomic=nonatomic,
                               cache_features=cache_features,
                               executor=executor, fidelity=fidelity)
@@ -405,8 +401,7 @@ def _evaluate_partitioned(
 
 def _evaluate_swap(
     workload: Workload,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    telemetry: Telemetry = NULL_TELEMETRY,
 ) -> SchemeResult:
     if workload.topology.num_machines() > 1:
         # NeuGraph's swap is a single-machine design (§7: "as Swap is
@@ -416,8 +411,8 @@ def _evaluate_swap(
     if workload.num_devices == 1:
         return workload.result("swap", status="ok", epoch_time=compute,
                                comm_time=0.0, compute_time=compute)
-    executor = SwapExecutor(workload.topology, tracer=tracer,
-                            metrics=metrics)
+    executor = SwapExecutor(workload.topology, telemetry=telemetry)
+    tracer = telemetry.tracer
     boundaries = workload.boundary_bytes()
 
     def _swap_round(name: str, bpu: float, dump) -> float:
@@ -505,13 +500,10 @@ def evaluate_scheme(
     workload: Workload,
     *,
     scheme: str,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
     method: Optional[object] = None,
     fidelity: str = "event",
     staleness: int = 0,
-    auditor=None,
-    recorder=None,
+    telemetry: Telemetry = NULL_TELEMETRY,
 ) -> SchemeResult:
     """Run one scheme on one workload; never raises on OOM.
 
@@ -520,14 +512,11 @@ def evaluate_scheme(
     ``spst``/``p2p`` work), and each spec's ``cost_fn`` does the
     pricing — unknown names raise
     :class:`~repro.errors.UnknownSchemeError` listing every registered
-    scheme.  With a ``tracer``/``metrics`` sink the priced collectives
-    also emit per-flow spans and counters; the returned numbers are
-    unchanged.  ``auditor`` (a
-    :class:`~repro.obs.audit.CostModelAuditor`) and ``recorder`` (a
-    :class:`~repro.obs.profile.FlightRecorder`) hang the same way off
-    the plan-based schemes' executor and collect predicted-vs-actual
-    audits and flight-recorder reports, again without changing any
-    returned number.
+    scheme.  With an armed ``telemetry`` the priced collectives also
+    emit per-flow spans and counters (tracer, metrics), and the
+    plan-based schemes' executor collects predicted-vs-actual audits
+    (auditor) and flight-recorder reports (recorder); the returned
+    numbers are unchanged.
 
     ``method`` forces one §6.2 transfer mechanism (a
     :class:`~repro.comm.methods.CommMethod` or its string value) on
@@ -560,8 +549,7 @@ def evaluate_scheme(
         staleness = 0
     method_key = str(method) if method is not None else None
     memo_key = None
-    if (tracer is None and metrics is None and auditor is None
-            and recorder is None):
+    if not telemetry.armed:
         memo_key = workload._cache_key() + (
             workload.model_name, workload.num_layers,
             workload.chunks_per_class, scheme, spec.version, method_key,
@@ -578,7 +566,7 @@ def evaluate_scheme(
 
     result = spec.cost_fn(workload, EvalContext(
         fidelity=fidelity, staleness=staleness, methods=methods,
-        tracer=tracer, metrics=metrics, auditor=auditor, recorder=recorder,
+        telemetry=telemetry,
     ))
     if memo_key is not None:
         _EVAL_CACHE[memo_key] = _copy_result(result)

@@ -44,8 +44,7 @@ from repro.core.spst import SPSTPlanner
 from repro.errors import ElasticSpecError
 from repro.gnn.checkpoint import snapshot
 from repro.gnn.resilient import FaultRecoveryReport, ResilientTrainer
-from repro.obs.metrics import global_metrics
-from repro.obs.tracer import TRAINER_TRACK
+from repro.obs.telemetry import NULL_TELEMETRY
 from repro.runtime.protocol import DEFAULT_CONTROL_LATENCY
 from repro.topology.topology import Topology
 
@@ -212,6 +211,7 @@ class ElasticController(ResilientTrainer):
         self._resolver = PlanResolver(
             MemoryPlanStore(), caller="elastic",
             chunks_per_class=CHUNKS_PER_CLASS, seed=kwargs.get("seed", 0),
+            telemetry=kwargs.get("telemetry", NULL_TELEMETRY),
         )
         #: Donor for incremental patching: the previous plan document,
         #: its recorded cost and its device set (base ids).
@@ -326,12 +326,11 @@ class ElasticController(ResilientTrainer):
             f"{len(before)}->{len(after)} devices via {self.plan_source} "
             f"plan; downtime {(self.clock - start) * 1e6:.1f} us",
         )
-        global_metrics().counter("elastic.transition", kind=action).inc()
-        if self.tracer is not None:
-            self.tracer.add_span(
-                action, "phase", TRAINER_TRACK, start, self.clock,
-                devices=len(after), plan=self.plan_source,
-            )
+        if self.telemetry.metrics is not None:
+            self.telemetry.metrics.counter("elastic.transition",
+                                           kind=action).inc()
+        self._span(action, "phase", start, devices=len(after),
+                   plan=self.plan_source)
         report = TransitionReport(
             kind=kind,
             delta=tuple(delta),

@@ -30,8 +30,8 @@ from repro.gnn.functional import softmax_cross_entropy
 from repro.gnn.layers import GraphContext
 from repro.gnn.models import GNNModel, SGD
 from repro.gnn.training import EpochResult
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import TRAINER_TRACK, Tracer, device_track
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.tracer import TRAINER_TRACK, device_track
 
 __all__ = ["DistributedTrainer"]
 
@@ -50,8 +50,7 @@ class DistributedTrainer:
         labels: np.ndarray,
         lr: float = 0.01,
         optimizer=None,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        telemetry: Telemetry = NULL_TELEMETRY,
     ) -> None:
         if features.shape[0] != relation.graph.num_vertices:
             raise ValueError("features must cover every vertex")
@@ -87,20 +86,18 @@ class DistributedTrainer:
         #: its own, so phases are priced the same way the evaluation
         #: does — collectives on the flow simulator, kernels on the
         #: compute model — and laid out on the tracer's phase clock.
-        #: Numerics never depend on the tracer.
-        self.tracer = tracer
-        self.metrics = metrics
+        #: Numerics never depend on the telemetry.
+        self.telemetry = telemetry
         self._price_executor = None
         self._compute_model = None
         self._sync_seconds = 0.0
-        if tracer is not None or metrics is not None:
+        if telemetry.armed:
             from repro.comm.collectives import ring_allreduce_time
             from repro.simulator.compute import ComputeModel
             from repro.simulator.executor import PlanExecutor
 
-            self._price_executor = PlanExecutor(
-                plan.topology, tracer=tracer, metrics=metrics
-            )
+            self._price_executor = PlanExecutor(plan.topology,
+                                                telemetry=telemetry)
             self._compute_model = ComputeModel()
             if self.num_devices >= 2:
                 self._sync_seconds = ring_allreduce_time(
@@ -108,10 +105,10 @@ class DistributedTrainer:
                 )
 
     # ------------------------------------------------------------------
-    # Telemetry pricing (no-ops unless a tracer/metrics sink is set)
+    # Telemetry pricing (no-ops unless the telemetry is armed)
     def _trace_comm(self, name: str, dim: int, backward: bool) -> None:
         """Price one collective and lay its spans on the phase clock."""
-        tracer = self.tracer
+        tracer = self.telemetry.tracer
         t0 = tracer.now if tracer is not None else 0.0
         report = self._price_executor.execute(
             self.plan, dim * BYTES_PER_FLOAT, backward=backward
@@ -131,15 +128,15 @@ class DistributedTrainer:
                 cost = cost.scaled(2.0)
             durations.append(self._compute_model.seconds(cost))
         worst = max(durations, default=0.0)
-        tracer = self.tracer
+        tracer, metrics = self.telemetry.tracer, self.telemetry.metrics
         if tracer is not None:
             t0 = tracer.now
             for d, dur in enumerate(durations):
                 tracer.add_span(name, "compute", device_track(d), t0, t0 + dur)
             tracer.add_span(name, "phase", TRAINER_TRACK, t0, t0 + worst)
             tracer.advance(worst)
-        if self.metrics is not None and durations:
-            self.metrics.histogram("compute.straggler_gap").observe(
+        if metrics is not None and durations:
+            metrics.histogram("compute.straggler_gap").observe(
                 worst - min(durations)
             )
 
@@ -148,7 +145,7 @@ class DistributedTrainer:
         """One distributed forward/backward pass (all devices)."""
         num_layers = self.model.num_layers
         traced = self._price_executor is not None
-        tracer = self.tracer
+        tracer = self.telemetry.tracer
         epoch = len(self.loss_history)
         epoch_start = tracer.now if tracer is not None else 0.0
         h_local = [f.copy() for f in self._local_features]
@@ -230,8 +227,8 @@ class DistributedTrainer:
         if tracer is not None:
             tracer.add_span(f"epoch {epoch}", "epoch", TRAINER_TRACK,
                             epoch_start, tracer.now, loss=float(loss))
-            if self.metrics is not None:
-                self.metrics.histogram("epoch.seconds").observe(
+            if self.telemetry.metrics is not None:
+                self.telemetry.metrics.histogram("epoch.seconds").observe(
                     tracer.now - epoch_start
                 )
         return EpochResult(loss=loss, logits=logits, feature_grad=None)

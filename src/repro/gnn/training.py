@@ -17,7 +17,8 @@ from repro.gnn.functional import softmax_cross_entropy
 from repro.gnn.layers import GraphContext
 from repro.gnn.models import GNNModel, SGD
 from repro.graph.csr import Graph
-from repro.obs.tracer import Tracer, device_track
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.tracer import device_track
 
 __all__ = ["EpochResult", "SingleDeviceTrainer"]
 
@@ -42,7 +43,7 @@ class SingleDeviceTrainer:
         labels: np.ndarray,
         lr: float = 0.01,
         optimizer=None,
-        tracer: Optional[Tracer] = None,
+        telemetry: Telemetry = NULL_TELEMETRY,
     ) -> None:
         if features.shape[0] != graph.num_vertices:
             raise ValueError("features must cover every vertex")
@@ -60,12 +61,13 @@ class SingleDeviceTrainer:
         self.ctx = GraphContext.from_graph(graph)
         self.optimizer = optimizer or SGD(model, lr=lr)
         self.loss_history: List[float] = []
-        #: Optional telemetry: phase spans priced by the compute model
-        #: on a private simulated clock (numerics are untouched).
-        self.tracer = tracer
+        #: Optional telemetry (the tracer is read): phase spans priced
+        #: by the compute model on a private simulated clock (numerics
+        #: are untouched).
+        self.telemetry = telemetry
         self.sim_clock = 0.0
         self._compute_model = None
-        if tracer is not None:
+        if telemetry.tracer is not None:
             from repro.simulator.compute import ComputeModel
 
             self._compute_model = ComputeModel()
@@ -83,7 +85,7 @@ class SingleDeviceTrainer:
 
     def run_epoch(self, update: bool = True) -> EpochResult:
         """One forward + backward pass over every vertex."""
-        tracer = self.tracer
+        tracer = self.telemetry.tracer
         epoch = len(self.loss_history)
         logits, caches = self.model.forward(self.ctx, self.features)
         if tracer is not None:

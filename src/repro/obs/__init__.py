@@ -14,6 +14,8 @@ code they always did).
 * :mod:`repro.obs.profile` — the flight recorder and
   :class:`~repro.obs.profile.RunProfile` attribution (per stage, per
   connection, critical path);
+* :class:`~repro.obs.telemetry.Telemetry` — the one handle carrying
+  whichever of the four sinks a run armed (``NULL_TELEMETRY`` when none);
 * :mod:`repro.obs.audit` — the live Fig. 10: staged cost-model
   predictions audited against executed times, stage by stage;
 * :mod:`repro.obs.report` — profile documents (JSON, render, diff);
@@ -64,6 +66,7 @@ from repro.obs.report import (
     render_profile,
     write_profile,
 )
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.obs.tracer import (
     Span,
     Tracer,
@@ -74,6 +77,8 @@ from repro.obs.tracer import (
 
 __all__ = [
     "console",
+    "Telemetry",
+    "NULL_TELEMETRY",
     "Span",
     "Tracer",
     "TRAINER_TRACK",

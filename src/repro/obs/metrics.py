@@ -182,11 +182,12 @@ class MetricsRegistry:
         )
 
 
-#: Process-wide registry for cross-cutting metrics (cache hit rates)
-#: that have no session to live on.  Tests reset it via clear().
+#: Process-wide registry for process state that belongs to no run: the
+#: memo tables' ``cache.lookups{cache,outcome}``.  Run-scoped counters
+#: go on ``Telemetry.metrics`` instead.  Tests reset it via clear().
 _GLOBAL = MetricsRegistry()
 
 
 def global_metrics() -> MetricsRegistry:
-    """The process-wide registry (cache hit rates etc.)."""
+    """The process-wide registry (memo-table ``cache.lookups`` only)."""
     return _GLOBAL

@@ -63,8 +63,8 @@ from repro.faults.policy import (
     UnrecoverableFaultError,
 )
 from repro.faults.repair import alternate_path
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer, connection_track, device_track
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.tracer import connection_track, device_track
 from repro.runtime.events import (
     AllOf,
     AnyOf,
@@ -110,8 +110,7 @@ class ProtocolRunner:
         device_delays: Optional[Dict[int, float]] = None,
         injector=None,
         policy: Optional[RecoveryPolicy] = None,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        telemetry: Telemetry = NULL_TELEMETRY,
     ) -> None:
         if coordination not in ("decentralized", "centralized"):
             raise ValueError("coordination must be decentralized or centralized")
@@ -131,11 +130,11 @@ class ProtocolRunner:
         #: are armed only when the injector schedules at least one fault.
         self.injector = injector if injector is not None else FaultInjector()
         self.policy = policy if policy is not None else DefaultPolicy()
-        #: Telemetry sinks.  Recording is purely observational — spans
-        #: never yield into the simulator, so armed tracing leaves the
-        #: event schedule (and therefore all timings) untouched.
-        self.tracer = tracer
-        self.metrics = metrics
+        #: Telemetry sinks (tracer and metrics are read).  Recording is
+        #: purely observational — spans never yield into the simulator,
+        #: so armed tracing leaves the event schedule (and therefore all
+        #: timings) untouched.
+        self.telemetry = telemetry
         # Fault-recovery tunables (simulated seconds), used when armed.
         self.flag_timeout = control_latency * 20
         self.flag_timeout_cap = self.flag_timeout * 64
@@ -201,7 +200,7 @@ class ProtocolRunner:
         flags = FlagBoard(sim, self.flag_latency, injector if armed else None)
         buffers = self._maps.make_buffers(list(local_embeddings))
         report = ProtocolReport(total_time=0.0)
-        tracer, metrics = self.tracer, self.metrics
+        tracer, metrics = self.telemetry.tracer, self.telemetry.metrics
         base = tracer.now if tracer is not None else 0.0
         if armed:
             injector.arm(sim, network=network)

@@ -35,7 +35,7 @@ from repro.core.plan import CommPlan
 from repro.core.relation import CommRelation
 from repro.core.spst import SPSTPlanner
 from repro.graph.csr import Graph
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sampling.samplers import SampledSubgraph
 from repro.topology.topology import Topology
 
@@ -104,8 +104,8 @@ class BatchPlanner:
     the same device whether it arrived in a mini-batch or the full
     graph.  ``plan_cache`` (optional) makes exact repeats free across
     epochs and processes; ``incremental`` (default) arms the
-    patch-from-previous-batch rung; ``metrics`` (optional) counts
-    resolutions beside the global registry.
+    patch-from-previous-batch rung; ``telemetry.metrics`` (optional)
+    counts resolutions.
     """
 
     def __init__(
@@ -117,7 +117,7 @@ class BatchPlanner:
         chunks_per_class: int = 4,
         seed: int = 0,
         incremental: bool = True,
-        metrics: Optional[MetricsRegistry] = None,
+        telemetry: Telemetry = NULL_TELEMETRY,
     ) -> None:
         assignment = np.asarray(assignment, dtype=np.int64)
         if assignment.size != graph.num_vertices:
@@ -140,7 +140,7 @@ class BatchPlanner:
         self._resolver = PlanResolver(
             plan_cache, caller="sampling",
             chunks_per_class=self.chunks_per_class, seed=self.seed,
-            patched_name="spst-minibatch", metrics=metrics,
+            patched_name="spst-minibatch", telemetry=telemetry,
         )
         #: Previous batch's plan as an in-memory donor document (same
         #: envelope a cache entry carries).

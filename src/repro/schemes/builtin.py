@@ -59,9 +59,8 @@ def generic_plan_cost_fn(name: str) -> Callable:
 
         return _evaluate_partitioned(
             workload, name, _cached_plan(workload, name), nonatomic=False,
-            tracer=ctx.tracer, metrics=ctx.metrics, methods=ctx.methods,
-            fidelity=ctx.fidelity, auditor=ctx.auditor,
-            recorder=ctx.recorder,
+            methods=ctx.methods, fidelity=ctx.fidelity,
+            telemetry=ctx.telemetry,
         )
 
     return cost_fn
@@ -94,9 +93,8 @@ def _dgcl_cost(cache_features: bool):
         name = "dgcl-cache" if cache_features else "dgcl"
         return _evaluate_partitioned(
             workload, name, workload.spst_plan, nonatomic=True,
-            cache_features=cache_features, tracer=ctx.tracer,
-            metrics=ctx.metrics, methods=ctx.methods, fidelity=ctx.fidelity,
-            auditor=ctx.auditor, recorder=ctx.recorder,
+            cache_features=cache_features, methods=ctx.methods,
+            fidelity=ctx.fidelity, telemetry=ctx.telemetry,
         )
 
     return cost_fn
@@ -107,15 +105,14 @@ def _p2p_cost(workload, ctx: EvalContext):
 
     return _evaluate_partitioned(
         workload, "peer-to-peer", workload.p2p_plan, nonatomic=False,
-        tracer=ctx.tracer, metrics=ctx.metrics, methods=ctx.methods,
-        fidelity=ctx.fidelity, auditor=ctx.auditor, recorder=ctx.recorder,
+        methods=ctx.methods, fidelity=ctx.fidelity, telemetry=ctx.telemetry,
     )
 
 
 def _swap_cost(workload, ctx: EvalContext):
     from repro.baselines.strategies import _evaluate_swap
 
-    return _evaluate_swap(workload, tracer=ctx.tracer, metrics=ctx.metrics)
+    return _evaluate_swap(workload, telemetry=ctx.telemetry)
 
 
 def _replication_cost(workload, ctx: EvalContext):
@@ -133,20 +130,6 @@ def _dgcl_r_cost(workload, ctx: EvalContext):
 # ----------------------------------------------------------------------
 # Communication-avoiding additions (ROADMAP item 3)
 # ----------------------------------------------------------------------
-def _cagnet_cost(name: str):
-    def cost_fn(workload, ctx: EvalContext):
-        from repro.baselines.strategies import _evaluate_partitioned
-
-        return _evaluate_partitioned(
-            workload, name, _cached_plan(workload, name), nonatomic=False,
-            tracer=ctx.tracer, metrics=ctx.metrics, methods=ctx.methods,
-            fidelity=ctx.fidelity, auditor=ctx.auditor,
-            recorder=ctx.recorder,
-        )
-
-    return cost_fn
-
-
 def _distgnn_cost(workload, ctx: EvalContext):
     """Delayed aggregation: comm amortises over the refresh period.
 
@@ -161,9 +144,8 @@ def _distgnn_cost(workload, ctx: EvalContext):
 
     result = _evaluate_partitioned(
         workload, "distgnn-delayed", _cached_plan(workload, "distgnn-delayed"),
-        nonatomic=False, tracer=ctx.tracer, metrics=ctx.metrics,
-        methods=ctx.methods, fidelity=ctx.fidelity, auditor=ctx.auditor,
-        recorder=ctx.recorder,
+        nonatomic=False, methods=ctx.methods, fidelity=ctx.fidelity,
+        telemetry=ctx.telemetry,
     )
     if not result.ok:
         return result
@@ -235,13 +217,13 @@ def _register_builtins() -> None:
         SchemeSpec(
             name="cagnet-1.5d", builtin=True,
             builder=_lazy("repro.schemes.cagnet", "cagnet_15d_plan"),
-            cost_fn=_cagnet_cost("cagnet-1.5d"),
+            cost_fn=generic_plan_cost_fn("cagnet-1.5d"),
             description="CAGNET 1.5D systolic ring-relay broadcast",
         ),
         SchemeSpec(
             name="cagnet-2d", builtin=True,
             builder=_lazy("repro.schemes.cagnet", "cagnet_2d_plan"),
-            cost_fn=_cagnet_cost("cagnet-2d"),
+            cost_fn=generic_plan_cost_fn("cagnet-2d"),
             description="CAGNET 2D row-broadcast + column-relay grid",
         ),
         SchemeSpec(

@@ -52,6 +52,7 @@ from repro.faults.policy import DefaultPolicy
 from repro.faults.repair import repair_plan
 from repro.graph.csr import Graph
 from repro.obs.quantile import QuantileDigest
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.partition import partition
 from repro.runtime.protocol import DEFAULT_CONTROL_LATENCY
 from repro.serve.admission import BoundedQueue, FairPicker, TokenBucket
@@ -434,17 +435,18 @@ class ServeSession:
         self,
         seed: int = 0,
         fault_plan=None,
-        metrics=None,
-        recorder=None,
+        telemetry: Telemetry = NULL_TELEMETRY,
     ) -> "ServeReport":
         """Execute one deterministic serving campaign.
 
         ``fault_plan`` arms a fresh :class:`FaultInjector` whose
-        link/device state the dispatch loop consults; ``metrics`` and
-        ``recorder`` are optional :mod:`repro.obs` sinks.
+        link/device state the dispatch loop consults.  ``telemetry``'s
+        metrics count ``serve.requests`` / ``serve.latency_us`` (and
+        reach the batch executor); its recorder keeps one entry per
+        dispatched batch.
         """
         cfg = self.config
-        run = _RunState(self, seed, fault_plan, metrics, recorder)
+        run = _RunState(self, seed, fault_plan, telemetry)
         requests = self._generate_requests(seed)
         i = 0
         while i < len(requests) or run.total_queued() > 0:
@@ -488,15 +490,17 @@ class _RunState:
     """All mutable state of one campaign (thrown away after the run)."""
 
     def __init__(self, session: ServeSession, seed, fault_plan,
-                 metrics, recorder) -> None:
+                 telemetry: Telemetry) -> None:
         """Fresh admission, ladder, replica and fault state."""
         self.session = session
         self.cfg = session.config
         self.seed = seed
         self.now = 0.0
         self.blocked_until = 0.0
-        self.metrics = metrics
-        self.recorder = recorder
+        self.telemetry = telemetry
+        #: The batch executor gets metrics only: the run records each
+        #: batch itself, under its own label.
+        self._executor_telemetry = Telemetry(metrics=telemetry.metrics)
         self.tenants: Dict[str, _TenantState] = {
             t.name: _TenantState(t) for t in session.tenants
         }
@@ -649,8 +653,8 @@ class _RunState:
 
     def _count(self, tenant: str, outcome: str) -> None:
         self.tenants[tenant].counts[outcome] += 1
-        if self.metrics is not None:
-            self.metrics.counter(
+        if self.telemetry.metrics is not None:
+            self.telemetry.metrics.counter(
                 "serve.requests", tenant=tenant, outcome=outcome
             ).inc()
 
@@ -874,7 +878,8 @@ class _RunState:
                 else None
             )
             executor = PlanExecutor(
-                dep.topology, capacity_of=capacity_of, metrics=self.metrics,
+                dep.topology, capacity_of=capacity_of,
+                telemetry=self._executor_telemetry,
             )
             report = executor.execute(
                 plan, cfg.bytes_per_unit, fidelity=cfg.fidelity,
@@ -888,8 +893,9 @@ class _RunState:
         )
         start = self.now
         finish = start + service
-        if self.recorder is not None and report is not None:
-            self.recorder.add(
+        recorder = self.telemetry.recorder
+        if recorder is not None and report is not None:
+            recorder.add(
                 f"w{self.window_idx}-batch{self.batches}", start, report
             )
         if needed.size:
@@ -907,8 +913,8 @@ class _RunState:
             state.window_digest.observe(rec.latency)
             if rec.latency <= state.spec.slo:
                 state.slo_hits += 1
-            if self.metrics is not None:
-                self.metrics.histogram(
+            if self.telemetry.metrics is not None:
+                self.telemetry.metrics.histogram(
                     "serve.latency_us", tenant=req.tenant
                 ).observe(rec.latency * 1e6)
 

@@ -27,8 +27,8 @@ import numpy as np
 from repro.comm.methods import MethodTable
 from repro.core.plan import CommPlan, CommTuple
 from repro.core.relation import CommRelation
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer, connection_track, device_track
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.tracer import connection_track, device_track
 from repro.simulator.network import (
     DEFAULT_ALPHA,
     Flow,
@@ -86,8 +86,7 @@ class ExecutionReport:
 
 def record_report(
     report: ExecutionReport,
-    tracer: Optional[Tracer],
-    metrics: Optional[MetricsRegistry],
+    telemetry: Telemetry,
     base: float = 0.0,
     phase: str = "allgather",
 ) -> None:
@@ -96,9 +95,11 @@ def record_report(
     The flow simulator already returns exact per-flow timings, so
     telemetry never touches the hot path: spans and metrics are derived
     from the finished :class:`ExecutionReport`, shifted by ``base``
-    (the caller's simulated clock) onto one absolute timeline.  With
-    both sinks ``None`` this is a no-op.
+    (the caller's simulated clock) onto one absolute timeline.  Only
+    the tracer and metrics sinks are read; with both ``None`` this is a
+    no-op.
     """
+    tracer, metrics = telemetry.tracer, telemetry.metrics
     if tracer is None and metrics is None:
         return
     per_device: Dict[Tuple[int, int], List[FlowResult]] = {}
@@ -163,10 +164,7 @@ class PlanExecutor:
         packing_efficiency: float = 1.0,
         methods: Optional[MethodTable] = None,
         capacity_of=None,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        auditor=None,
-        recorder=None,
+        telemetry: Telemetry = NULL_TELEMETRY,
     ) -> None:
         if coordination not in ("decentralized", "centralized"):
             raise ValueError("coordination must be decentralized or centralized")
@@ -182,15 +180,10 @@ class PlanExecutor:
         self.packing_efficiency = packing_efficiency
         #: Per-pair transfer mechanisms (§6.2); None = ideal transfers.
         self.methods = methods
-        #: Telemetry sinks; all None means no recording at all.  Like
-        #: the tracer, the auditor (:class:`~repro.obs.audit.
-        #: CostModelAuditor`) and recorder (:class:`~repro.obs.profile.
-        #: FlightRecorder`) observe finished reports only — arming them
-        #: never changes a simulated timing.
-        self.tracer = tracer
-        self.metrics = metrics
-        self.auditor = auditor
-        self.recorder = recorder
+        #: Telemetry sinks; unarmed means no recording at all.  Every
+        #: sink observes finished reports only — arming one never
+        #: changes a simulated timing.
+        self.telemetry = telemetry
 
     # ------------------------------------------------------------------
     def execute(self, plan: CommPlan, bytes_per_unit: float,
@@ -245,18 +238,20 @@ class PlanExecutor:
             report = self._execute_centralized(tuples, bytes_per_unit)
         else:
             report = self._execute_decentralized(tuples, bytes_per_unit)
-        if self.tracer is not None or self.metrics is not None:
-            base = self.tracer.now if self.tracer is not None else 0.0
-            record_report(report, self.tracer, self.metrics, base=base)
-        if self.auditor is not None:
-            self.auditor.record_tuples(
+        if not self.telemetry.armed:
+            return report
+        tracer = self.telemetry.tracer
+        record_report(report, self.telemetry,
+                      base=tracer.now if tracer is not None else 0.0)
+        auditor, recorder = self.telemetry.auditor, self.telemetry.recorder
+        if auditor is not None:
+            auditor.record_tuples(
                 tuples, report, bytes_per_unit,
                 label=label or "collective", fidelity=fidelity,
             )
-        if self.recorder is not None:
-            base = (self.tracer.now if self.tracer is not None
-                    else self.recorder.clock)
-            self.recorder.add(label or "collective", base, report)
+        if recorder is not None:
+            base = tracer.now if tracer is not None else recorder.clock
+            recorder.add(label or "collective", base, report)
         return report
 
     def _flow_bytes(self, t: CommTuple, bytes_per_unit: float) -> float:
@@ -425,8 +420,7 @@ class SwapExecutor:
     def __init__(self, topology: Topology, alpha: float = DEFAULT_ALPHA,
                  chain_transfer: bool = True,
                  host_efficiency: float = 0.5,
-                 tracer: Optional[Tracer] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 telemetry: Telemetry = NULL_TELEMETRY) -> None:
         if topology.num_machines() > 1:
             raise ValueError(
                 "Swap stages through one machine's host memory; the paper "
@@ -438,8 +432,8 @@ class SwapExecutor:
         self.topology = topology
         self.network = NetworkSimulator(alpha=alpha)
         self.chain_transfer = chain_transfer
-        self.tracer = tracer
-        self.metrics = metrics
+        #: Only the tracer and metrics sinks are read.
+        self.telemetry = telemetry
         if not 0.0 < host_efficiency <= 1.0:
             raise ValueError("host_efficiency must be in (0, 1]")
         #: Fraction of peak PCIe bandwidth the CPU-mediated staging path
@@ -553,16 +547,12 @@ class SwapExecutor:
                     )
         load_results = self.network.run(load_flows)
         total = max((r.finish_time for r in load_results), default=barrier)
-        if self.tracer is not None or self.metrics is not None:
-            base = self.tracer.now if self.tracer is not None else 0.0
-            record_report(
-                ExecutionReport(total_time=barrier, flows=dump_results),
-                self.tracer, self.metrics, base=base, phase="swap dump",
-            )
-            record_report(
-                ExecutionReport(total_time=total, flows=load_results),
-                self.tracer, self.metrics, base=base, phase="swap load",
-            )
+        tracer = self.telemetry.tracer
+        base = tracer.now if tracer is not None else 0.0
+        record_report(ExecutionReport(total_time=barrier, flows=dump_results),
+                      self.telemetry, base=base, phase="swap dump")
+        record_report(ExecutionReport(total_time=total, flows=load_results),
+                      self.telemetry, base=base, phase="swap load")
         return ExecutionReport(
             total_time=total,
             flows=dump_results + load_results,

@@ -159,11 +159,13 @@ class TestMemoisation:
         assert "poisoned" not in b.detail
 
     def test_telemetry_bypasses_memo(self, single_machine_tuner):
-        from repro.obs import MetricsRegistry, Tracer
+        from repro.obs import MetricsRegistry, Telemetry, Tracer
 
         tuner, _ = single_machine_tuner
         workload = tuner._workload(CandidateScheme("dgcl"), 1.0)
         tracer, metrics = Tracer(), MetricsRegistry()
-        result = evaluate_scheme(workload, scheme="dgcl", tracer=tracer,
-                                 metrics=metrics)
+        result = evaluate_scheme(
+            workload, scheme="dgcl",
+            telemetry=Telemetry(tracer=tracer, metrics=metrics),
+        )
         assert result.ok and len(tracer.events()) > 0

@@ -20,6 +20,7 @@ from repro.graph.datasets import synthetic_features, synthetic_labels
 from repro.graph.generators import rmat
 from repro.obs import (
     MetricsRegistry,
+    Telemetry,
     Tracer,
     chrome_trace_json,
     console,
@@ -46,7 +47,8 @@ def planned():
 
 def traced_execution(plan, bytes_per_unit=1024):
     tracer, metrics = Tracer(), MetricsRegistry()
-    executor = PlanExecutor(plan.topology, tracer=tracer, metrics=metrics)
+    executor = PlanExecutor(plan.topology,
+                            telemetry=Telemetry(tracer=tracer, metrics=metrics))
     report = executor.execute(plan, bytes_per_unit)
     return tracer, metrics, report
 
@@ -67,7 +69,8 @@ class TestTracer:
     def test_phase_clock_offsets_spans(self, planned):
         _, _, plan = planned
         tracer = Tracer()
-        executor = PlanExecutor(plan.topology, tracer=tracer, metrics=None)
+        executor = PlanExecutor(plan.topology,
+                                telemetry=Telemetry(tracer=tracer))
         first = executor.execute(plan, 1024)
         tracer.advance(first.total_time)
         executor.execute(plan, 1024)
@@ -221,7 +224,8 @@ class TestUnarmedRegression:
         _, _, plan = planned
         bare = PlanExecutor(plan.topology).execute(plan, 2048)
         traced = PlanExecutor(
-            plan.topology, tracer=Tracer(), metrics=MetricsRegistry()
+            plan.topology,
+            telemetry=Telemetry(tracer=Tracer(), metrics=MetricsRegistry()),
         ).execute(plan, 2048)
         assert bare.total_time == traced.total_time
         assert bare.stage_finish == traced.stage_finish
@@ -230,7 +234,9 @@ class TestUnarmedRegression:
         _, rel, plan = planned
         bare = ProtocolRunner(rel, plan).run_timed(512)
         tracer = Tracer()
-        armed = ProtocolRunner(rel, plan, tracer=tracer).run_timed(512)
+        armed = ProtocolRunner(
+            rel, plan, telemetry=Telemetry(tracer=tracer)
+        ).run_timed(512)
         assert bare.total_time == armed.total_time
         assert bare.device_finish == armed.device_finish
         assert len(tracer.events()) > 0
@@ -244,7 +250,7 @@ class TestUnarmedRegression:
             model = build_model("gcn", 16, 8, 5, seed=0)
             trainer = DistributedTrainer(
                 rel, plan, model, features, labels,
-                tracer=tracer, metrics=metrics,
+                telemetry=Telemetry(tracer=tracer, metrics=metrics),
             )
             return trainer.train(2)
 
@@ -262,7 +268,8 @@ class TestUnarmedRegression:
         def losses(tracer):
             model = build_model("gcn", 16, 8, 5, seed=0)
             return SingleDeviceTrainer(
-                graph, model, features, labels, tracer=tracer
+                graph, model, features, labels,
+                telemetry=Telemetry(tracer=tracer),
             ).train(2)
 
         tracer = Tracer()
@@ -283,7 +290,8 @@ class TestUnarmedRegression:
             controller = ElasticController(
                 graph, dgx1(), build_model("gcn", 6, 8, 4, seed=7),
                 features, labels,
-                elastic=ElasticPolicy(min_devices=2), tracer=tracer,
+                elastic=ElasticPolicy(min_devices=2),
+                telemetry=Telemetry(tracer=tracer),
             )
             report = controller.train_with_schedule(4, schedule)
             return (list(report.losses), controller.clock,
@@ -301,7 +309,8 @@ class TestUnarmedRegression:
         graph, _, _ = planned
         plain = AutoTuner(graph, dgx1()).tune()
         auditor = CostModelAuditor()
-        audited = AutoTuner(graph, dgx1(), auditor=auditor).tune()
+        audited = AutoTuner(graph, dgx1(),
+                            telemetry=Telemetry(auditor=auditor)).tune()
         assert [t.cost for t in plain.trials] == \
             [t.cost for t in audited.trials]
         assert plain.candidate == audited.candidate
@@ -324,7 +333,7 @@ class TestResilientTelemetry:
                 fault_plan=FaultPlan(
                     [DeviceCrash(device=3, time=1e-6)], seed=2
                 ),
-                checkpoint_every=2, tracer=tracer,
+                checkpoint_every=2, telemetry=Telemetry(tracer=tracer),
             )
             return trainer.train(3)
 
@@ -354,10 +363,10 @@ class TestSessionTelemetry:
         ).astype(np.float32)
         blocks = session.dispatch_features(features)
         session.graph_allgather(blocks)
-        assert session.tracer is not None
-        phases = [s.name for s in session.tracer.by_cat("phase")]
+        assert session.telemetry.tracer is not None
+        phases = [s.name for s in session.telemetry.tracer.by_cat("phase")]
         assert "graph_allgather" in phases
-        assert session.tracer.now == pytest.approx(
+        assert session.telemetry.tracer.now == pytest.approx(
             session.simulated_comm_seconds
         )
 

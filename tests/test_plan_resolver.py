@@ -12,7 +12,7 @@ from repro.autotune.resolve import MemoryPlanStore, PlanResolver, Resolution
 from repro.core.relation import CommRelation
 from repro.core.serialize import plan_to_jsonable
 from repro.core.spst import SPSTPlanner
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import MetricsRegistry, Telemetry
 from repro.topology.presets import dgx1
 
 
@@ -105,7 +105,7 @@ def test_corrupt_entry_falls_through(inputs, tmp_path):
 def test_memory_store_hit_returns_the_stored_plan(inputs):
     registry = MetricsRegistry()
     resolver = PlanResolver(MemoryPlanStore(), caller="probe",
-                            metrics=registry)
+                            telemetry=Telemetry(metrics=registry))
     first = _resolve(resolver, inputs)
     again = _resolve(resolver, inputs)
     assert again.source == "cache" and again.plan is first.plan
