@@ -22,7 +22,7 @@ from repro.comm.allgather import CompiledAllgather
 from repro.comm.collectives import RingAllreduce
 from repro.core.plan import CommPlan
 from repro.core.relation import CommRelation
-from repro.gnn.functional import segment_sum
+from repro.gnn.functional import SegmentSum
 from repro.graph.csr import Graph
 from repro.simulator.executor import PlanExecutor
 
@@ -45,11 +45,10 @@ def pagerank(
     out_degree = graph.out_degree().astype(np.float64)
     dangling = out_degree == 0
     rank = np.full(n, 1.0 / n, dtype=np.float64)
+    gather = SegmentSum(graph.in_indptr, graph.in_indices)
     for _ in range(max_iters):
         contrib = np.where(dangling, 0.0, rank / np.maximum(out_degree, 1.0))
-        gathered = segment_sum(
-            contrib[graph.in_indices][:, None], graph.in_indptr
-        )[:, 0]
+        gathered = gather(contrib)
         dangling_mass = rank[dangling].sum() / n
         new_rank = (1.0 - damping) / n + damping * (gathered + dangling_mass)
         delta = np.abs(new_rank - rank).sum()
@@ -101,7 +100,10 @@ class DistributedPageRank:
             lg = relation.local_graph(d)
             layout = lg.global_ids
             self._contexts.append({
-                "local_graph": lg,
+                "gather": SegmentSum(
+                    lg.graph.in_indptr[: lg.num_local + 1],
+                    lg.graph.in_indices,
+                ),
                 "out_degree": out_degree[layout],
                 "dangling_local": self._dangling_global[
                     relation.local_vertices[d]
@@ -149,11 +151,7 @@ class DistributedPageRank:
             residual_blocks = []
             new_ranks = []
             for d, ctx in enumerate(self._contexts):
-                lg = ctx["local_graph"]
-                gathered = segment_sum(
-                    full[d][lg.graph.in_indices],
-                    lg.graph.in_indptr[: lg.num_local + 1],
-                )
+                gathered = ctx["gather"](full[d])
                 updated = (1.0 - self.damping) / n + self.damping * (
                     gathered + dangling_mass
                 )

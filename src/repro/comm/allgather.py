@@ -38,7 +38,9 @@ class BufferMaps:
     ``(src, dst, src_rows, dst_rows)`` gather/scatter per compiled
     tuple, in the same order as the tuple list it was built from;
     ``local_rows[d]`` / ``out_rows[d]`` locate the local block and the
-    final local-then-remote layout inside the buffer.
+    final local-then-remote layout inside the buffer.  A device's local
+    and remote vertices are disjoint, so ``out_rows[d]`` never repeats
+    a row (checked here, relied on by the backward scatter).
     """
 
     def __init__(self, relation: CommRelation, tuples) -> None:
@@ -64,7 +66,12 @@ class BufferMaps:
             layout = np.concatenate(
                 [relation.local_vertices[d], relation.remote_vertices[d]]
             )
-            self.out_rows.append(self.rows_of(d, layout))
+            rows = self.rows_of(d, layout)
+            if np.count_nonzero(np.bincount(rows)) != rows.size:
+                raise AssertionError(
+                    f"device {d} local and remote vertices overlap"
+                )
+            self.out_rows.append(rows)
 
     def rows_of(self, device: int, ids: np.ndarray) -> np.ndarray:
         """Buffer rows of ``ids`` on ``device`` (asserts presence)."""
@@ -155,8 +162,9 @@ class CompiledAllgather:
         acc = []
         for d in range(self.num_devices):
             buf = np.zeros((self._vertices[d].size, dim), dtype=full_grads[d].dtype)
-            # Scatter-add: local and remote rows may alias relay rows.
-            np.add.at(buf, self._out_rows[d], full_grads[d])
+            # out_rows are distinct (BufferMaps checks it), so a plain
+            # scatter places each gradient row; relay-only rows stay 0.
+            buf[self._out_rows[d]] = full_grads[d]
             acc.append(buf)
         # Reverse stage order: children push their accumulated gradient
         # to the parent; each tree edge is traversed exactly once.

@@ -100,8 +100,9 @@ class SimulatorInvariantError(ReproError, RuntimeError):
     """The event simulator or live network broke one of its own invariants.
 
     Raised for a queue that went backwards, an exhausted event budget,
-    a deadlock, or live flows that can make no progress with no fault
-    injector attached.  Each one is a bug in the simulator or the
+    a deadlock, live flows that can make no progress with no fault
+    injector attached, or plan transfers the decentralized executor
+    never found ready.  Each one is a bug in the simulator or the
     protocol, never a legitimate abort, so callers that tolerate typed
     fault outcomes can still report it as a bug.
     """

@@ -1,18 +1,25 @@
 """Vectorised primitives for CSR-based GNN computation.
 
 Everything here is pure numpy.  The central primitive is
-:func:`segment_sum` — a fast grouped reduction over CSR segments built
-on ``np.add.reduceat`` (with correct handling of empty segments, which
-``reduceat`` alone gets wrong).
+:class:`SegmentSum`, a precompiled sum over CSR segments: built once
+from ``indptr`` (plus optional gather ``indices``), it groups the rows
+by degree so one call is a handful of dense ``x[idx].sum(axis=1)``
+reductions, one per distinct degree.
+Layers get their operators from
+:class:`~repro.gnn.layers.GraphContext`, which builds each one lazily
+and keeps it for the context's lifetime; :func:`segment_sum`,
+:func:`aggregate_sum`, :func:`aggregate_mean` and :func:`scatter_back`
+build a throwaway operator per call.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
+    "SegmentSum",
     "segment_sum",
     "aggregate_sum",
     "aggregate_mean",
@@ -23,26 +30,51 @@ __all__ = [
 ]
 
 
+class SegmentSum:
+    """Precompiled ``out[i] = sum(x[indices[indptr[i]:indptr[i+1]]])``.
+
+    Rows are stable-sorted by degree and rows of equal degree ``k``
+    share one group ``(rows, idx)``, where ``idx`` is the ``(n_k, k)``
+    matrix of the rows' gather indices; a call evaluates
+    ``out[rows] = x[idx].sum(axis=1)`` per group.  Without ``indices``
+    ``x`` holds one row per CSR entry (``idx`` are entry positions).
+    The output has ``num_rows`` rows (default ``indptr.size - 1``):
+    segments beyond it are dropped and missing or empty ones are zero.
+    Summation order is fixed at build time, so reruns are
+    bit-identical.
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: Optional[np.ndarray] = None,
+                 num_rows: Optional[int] = None) -> None:
+        indptr = np.asarray(indptr)
+        self.num_rows = indptr.size - 1 if num_rows is None else int(num_rows)
+        deg = np.diff(indptr[: self.num_rows + 1])
+        order = np.argsort(deg, kind="stable")
+        degrees, starts = np.unique(deg[order], return_index=True)
+        self.groups: List[Tuple[np.ndarray, np.ndarray]] = []
+        for k, lo, hi in zip(degrees, starts, np.r_[starts[1:], deg.size]):
+            if k == 0:
+                continue
+            rows = order[lo:hi]
+            idx = indptr[rows][:, None] + np.arange(k)
+            if indices is not None:
+                idx = indices[idx]
+            self.groups.append((rows, idx))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.num_rows,) + x.shape[1:], dtype=x.dtype)
+        for rows, idx in self.groups:
+            out[rows] = np.take(x, idx, axis=0).sum(axis=1)
+        return out
+
+
 def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Sum ``values`` rows within consecutive CSR segments.
 
     ``values`` has one row per CSR entry; segment ``i`` spans rows
     ``indptr[i]:indptr[i+1]``.  Empty segments yield zero rows.
     """
-    n = indptr.size - 1
-    out = np.zeros((n,) + values.shape[1:], dtype=values.dtype)
-    if values.shape[0] == 0 or n == 0:
-        return out
-    deg = np.diff(indptr)
-    nonzero = np.flatnonzero(deg > 0)
-    if nonzero.size == 0:
-        return out
-    # reduceat sums from each passed start to the next passed start; the
-    # starts of empty segments coincide with the next non-empty start,
-    # so passing only non-empty starts yields exactly their sums.
-    starts = indptr[nonzero]
-    out[nonzero] = np.add.reduceat(values, starts, axis=0)
-    return out
+    return SegmentSum(indptr)(values)
 
 
 def aggregate_sum(
@@ -53,7 +85,7 @@ def aggregate_sum(
     ``indptr``/``indices`` are the in-CSR: segment ``v`` lists the
     in-neighbors of ``v``.
     """
-    return segment_sum(h[indices], indptr)
+    return SegmentSum(indptr, indices)(h)
 
 
 def aggregate_mean(
@@ -79,12 +111,7 @@ def scatter_back(
     ``out_indptr``/``out_indices`` are the *out*-CSR (segment ``u`` lists
     the heads of u's out-edges).
     """
-    grads = segment_sum(grad_out[out_indices], out_indptr)
-    if grads.shape[0] < num_rows:
-        padded = np.zeros((num_rows,) + grads.shape[1:], dtype=grads.dtype)
-        padded[: grads.shape[0]] = grads
-        return padded
-    return grads[:num_rows]
+    return SegmentSum(out_indptr, out_indices, num_rows)(grad_out)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

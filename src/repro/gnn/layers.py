@@ -21,16 +21,12 @@ both parameter gradients and the gradient w.r.t. every input row
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.gnn.functional import (
-    relu,
-    relu_grad,
-    scatter_back,
-    segment_sum,
-)
+from repro.gnn.functional import SegmentSum, relu, relu_grad
 from repro.graph.csr import Graph
 from repro.simulator.compute import LayerComputeCost
 
@@ -49,6 +45,11 @@ class GraphContext:
     (``v < num_dst``), the input rows of its in-neighbors.
     ``out_indptr``/``out_indices`` are the transpose over all
     ``num_rows`` input rows (used by the backward scatter).
+
+    The :class:`~repro.gnn.functional.SegmentSum` operators over these
+    views are built on first use and kept for the context's lifetime,
+    so a trainer that reuses its contexts across epochs builds each
+    operator once.
     """
 
     num_rows: int
@@ -80,6 +81,23 @@ class GraphContext:
     def in_degrees(self) -> np.ndarray:
         """In-degree of every destination row."""
         return np.diff(self.in_indptr)
+
+    @cached_property
+    def gather_sum(self) -> SegmentSum:
+        """Forward aggregation: ``(num_rows, F) -> (num_dst, F)`` sums of
+        each destination row's in-neighbor rows."""
+        return SegmentSum(self.in_indptr, self.in_indices)
+
+    @cached_property
+    def scatter_sum(self) -> SegmentSum:
+        """Backward of :attr:`gather_sum`: ``(num_dst, F) -> (num_rows,
+        F)`` sums over each input row's out-edges."""
+        return SegmentSum(self.out_indptr, self.out_indices, self.num_rows)
+
+    @cached_property
+    def edge_sum(self) -> SegmentSum:
+        """Per-destination sums of values given per in-CSR edge."""
+        return SegmentSum(self.in_indptr)
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -127,7 +145,7 @@ class GCNLayer(_Layer):
     def forward(self, ctx: GraphContext, h: np.ndarray) -> Tuple[np.ndarray, Cache]:
         """One layer pass; returns (output rows, backward cache)."""
         deg = ctx.in_degrees().astype(h.dtype) + 1.0
-        agg = segment_sum(h[ctx.in_indices], ctx.in_indptr)
+        agg = ctx.gather_sum(h)
         agg += h[: ctx.num_dst]
         agg /= deg[:, None]
         pre = agg @ self.params["W"] + self.params["b"]
@@ -144,7 +162,7 @@ class GCNLayer(_Layer):
             "b": d_pre.sum(axis=0),
         }
         d_agg = (d_pre @ self.params["W"].T) / deg[:, None]
-        d_h = scatter_back(d_agg, ctx.out_indptr, ctx.out_indices, ctx.num_rows)
+        d_h = ctx.scatter_sum(d_agg)
         d_h[: ctx.num_dst] += d_agg
         return d_h, grads
 
@@ -183,7 +201,7 @@ class CommNetLayer(_Layer):
         """One layer pass; returns (output rows, backward cache)."""
         deg = ctx.in_degrees().astype(h.dtype)
         safe_deg = np.where(deg > 0, deg, 1.0)
-        mean = segment_sum(h[ctx.in_indices], ctx.in_indptr) / safe_deg[:, None]
+        mean = ctx.gather_sum(h) / safe_deg[:, None]
         h_dst = h[: ctx.num_dst]
         pre = h_dst @ self.params["W_self"] + mean @ self.params["W_comm"]
         pre += self.params["b"]
@@ -201,7 +219,7 @@ class CommNetLayer(_Layer):
             "b": d_pre.sum(axis=0),
         }
         d_mean = (d_pre @ self.params["W_comm"].T) / safe_deg[:, None]
-        d_h = scatter_back(d_mean, ctx.out_indptr, ctx.out_indices, ctx.num_rows)
+        d_h = ctx.scatter_sum(d_mean)
         d_h[: ctx.num_dst] += d_pre @ self.params["W_self"].T
         return d_h, grads
 
@@ -245,7 +263,7 @@ class GINLayer(_Layer):
 
     def forward(self, ctx: GraphContext, h: np.ndarray) -> Tuple[np.ndarray, Cache]:
         """One layer pass; returns (output rows, backward cache)."""
-        summed = segment_sum(h[ctx.in_indices], ctx.in_indptr)
+        summed = ctx.gather_sum(h)
         summed += (1.0 + self.eps) * h[: ctx.num_dst]
         pre1 = summed @ self.params["W1"] + self.params["b1"]
         hid = relu(pre1)
@@ -266,7 +284,7 @@ class GINLayer(_Layer):
             "b1": d_hid.sum(axis=0),
         }
         d_sum = d_hid @ self.params["W1"].T
-        d_h = scatter_back(d_sum, ctx.out_indptr, ctx.out_indices, ctx.num_rows)
+        d_h = ctx.scatter_sum(d_sum)
         d_h[: ctx.num_dst] += (1.0 + self.eps) * d_sum
         return d_h, grads
 
@@ -302,7 +320,7 @@ class SAGELayer(_Layer):
         """One layer pass; returns (output rows, backward cache)."""
         deg = ctx.in_degrees().astype(h.dtype)
         safe_deg = np.where(deg > 0, deg, 1.0)
-        mean = segment_sum(h[ctx.in_indices], ctx.in_indptr) / safe_deg[:, None]
+        mean = ctx.gather_sum(h) / safe_deg[:, None]
         concat = np.concatenate([h[: ctx.num_dst], mean], axis=1)
         pre = concat @ self.params["W"] + self.params["b"]
         out = relu(pre) if self.activation else pre
@@ -320,7 +338,7 @@ class SAGELayer(_Layer):
         d_concat = d_pre @ self.params["W"].T
         d_self = d_concat[:, : self.in_dim]
         d_mean = d_concat[:, self.in_dim :] / safe_deg[:, None]
-        d_h = scatter_back(d_mean, ctx.out_indptr, ctx.out_indices, ctx.num_rows)
+        d_h = ctx.scatter_sum(d_mean)
         d_h[: ctx.num_dst] += d_self
         return d_h, grads
 
@@ -374,10 +392,10 @@ class GATLayer(_Layer):
         seg_max = np.full(ctx.num_dst, -np.inf, dtype=e.dtype)
         np.maximum.at(seg_max, v, e)
         shifted = np.exp(e - np.where(np.isfinite(seg_max), seg_max, 0.0)[v])
-        denom = segment_sum(shifted[:, None], ctx.in_indptr)[:, 0]
+        denom = ctx.edge_sum(shifted)
         safe_denom = np.where(denom > 0, denom, 1.0)
         alpha = shifted / safe_denom[v]
-        pre = segment_sum(alpha[:, None] * z[u], ctx.in_indptr)
+        pre = ctx.edge_sum(alpha[:, None] * z[u])
         pre = pre + self.params["b"]
         out = relu(pre) if self.activation else pre
         return out, (h, z, u, v, raw, alpha, pre)

@@ -27,6 +27,7 @@ import numpy as np
 from repro.comm.methods import MethodTable
 from repro.core.plan import CommPlan, CommTuple
 from repro.core.relation import CommRelation
+from repro.errors import SimulatorInvariantError
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.obs.tracer import connection_track, device_track
 from repro.simulator.network import (
@@ -365,7 +366,7 @@ class PlanExecutor:
             [make_flow(t, 0.0) for t in initial], on_complete=on_complete
         )
         if state["pending"]:
-            raise RuntimeError(
+            raise SimulatorInvariantError(
                 f"{len(state['pending'])} transfers never became ready; "
                 "the plan's stage dependencies are cyclic"
             )

@@ -1,9 +1,11 @@
 """Tests for the functional graphAllgather runtime (data movement)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.comm.allgather import CompiledAllgather
+from repro.comm.allgather import BufferMaps, CompiledAllgather
 from repro.core import CommRelation, SPSTPlanner, peer_to_peer_plan
 from repro.core.nonatomic import max_substages, split_backward_substages
 from repro.graph.generators import rmat
@@ -101,6 +103,36 @@ class TestBackward:
         lhs = sum((f * g).sum() for f, g in zip(full, grads))
         rhs = sum((b * x).sum() for b, x in zip(back, blocks))
         assert lhs == pytest.approx(rhs, rel=1e-9)
+
+    def test_plain_scatter_equals_scatter_add_on_relay_plan(self, runtime):
+        """Seeding the backward buffers with a plain row assignment gives
+        exactly what the scatter-add did: the final layout's rows are
+        distinct even on multi-hop plans whose relays hold extra rows."""
+        graph, rel, ag = runtime
+        rng = np.random.default_rng(3)
+        grads = [
+            rng.standard_normal((out.size, 4)).astype(np.float32)
+            for out in ag._out_rows
+        ]
+        acc = []
+        for d in range(rel.num_devices):
+            buf = np.zeros((ag._vertices[d].size, 4), dtype=np.float32)
+            np.add.at(buf, ag._out_rows[d], grads[d])
+            acc.append(buf)
+        for src, dst, src_rows, dst_rows in reversed(ag._ops):
+            acc[src][src_rows] += acc[dst][dst_rows]
+        expected = [acc[d][ag._local_rows[d]] for d in range(rel.num_devices)]
+        for got, want in zip(ag.backward(grads), expected):
+            assert np.array_equal(got, want)
+
+    def test_overlapping_layout_rejected(self):
+        """The plain scatter needs distinct layout rows; a relation whose
+        remote set repeats a local vertex is refused at compile time."""
+        rel = SimpleNamespace(num_devices=1,
+                              local_vertices=[np.array([0, 1])],
+                              remote_vertices=[np.array([1])])
+        with pytest.raises(AssertionError, match="overlap"):
+            BufferMaps(rel, [])
 
 
 class TestNonAtomicSubstages:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import CommRelation, SPSTPlanner, peer_to_peer_plan
+from repro.errors import SimulatorInvariantError
 from repro.graph.csr import Graph
 from repro.partition import partition
 from repro.simulator.devices import DeviceMemory, SimulatedOOMError
@@ -42,6 +43,18 @@ class TestPlanExecutor:
         # stage completions — verified indirectly: stage k's earliest
         # start is not before stage k-1 exists.
         assert set(report.stage_finish) == set(t.stage for t in plan.tuples())
+
+    def test_never_ready_transfers_raise_typed_invariant(self, setup):
+        """A network that drops completion callbacks never releases the
+        later stages, which the executor reports as cyclic dependencies
+        with a typed invariant error rather than a bare RuntimeError."""
+        _, _, topo, plan = setup
+        assert len({t.stage for t in plan.tuples()}) > 1
+        ex = PlanExecutor(topo)
+        run = ex.network.run
+        ex.network.run = lambda flows, on_complete=None: run(flows)
+        with pytest.raises(SimulatorInvariantError, match="cyclic"):
+            ex.execute(plan, 1024)
 
     def test_more_bytes_take_longer(self, setup):
         _, _, topo, plan = setup
