@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import time
 
-from repro.baselines.strategies import _EVAL_CACHE, evaluate_scheme
+from repro.baselines.strategies import clear_caches, evaluate_scheme
 from repro.core.spst import SPSTPlanner
 
 from benchmarks.conftest import get_workload, shared_topology, write_table
@@ -83,7 +83,7 @@ def _pricing_seconds(dataset: str, fidelity: str) -> float:
         plan.backward_tuples()
     best = float("inf")
     for _ in range(REPS):
-        _EVAL_CACHE.clear()  # a fresh pipeline prices every cell once
+        clear_caches()  # a fresh pipeline prices every cell once
         start = time.perf_counter()
         for scheme, method in CANDIDATES:
             evaluate_scheme(w, scheme=scheme, method=method, fidelity=fidelity)

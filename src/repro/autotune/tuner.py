@@ -231,8 +231,8 @@ class AutoTuner:
             self.dataset = dataset
             self.spec = DATASETS[dataset]
         else:
-            # Content-addressed name: process-wide workload caches key on
-            # the dataset string, so distinct graphs must not collide.
+            # Display label only: the process-wide memo keys on the
+            # graph's content, not on this name.
             self.dataset = dataset or f"auto-{graph_fingerprint(graph)[:12]}"
             self.spec = workload_spec(graph, self.dataset)
         self.space = space if space is not None else SearchSpace(topology)

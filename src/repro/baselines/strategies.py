@@ -3,9 +3,10 @@
 A :class:`Workload` bundles everything one experiment cell needs — the
 data graph, the model, the topology, the partition and the
 communication relation — with lazy caching of the expensive pieces
-(partition, plans).  :func:`evaluate_scheme` then produces a
-:class:`SchemeResult` holding the simulated per-epoch time decomposed
-into communication and computation, or an OOM verdict.
+(partition, plans) in the content-keyed :data:`repro.cache.memo`.
+:func:`evaluate_scheme` then produces a :class:`SchemeResult` holding
+the simulated per-epoch time decomposed into communication and
+computation, or an OOM verdict.
 
 Epoch anatomy (mirrors the paper's Listing 1 plus the backward pass):
 
@@ -33,14 +34,13 @@ import numpy as np
 from repro.core.baseline_planners import peer_to_peer_plan
 from repro.core.plan import CommPlan
 from repro.core.relation import CommRelation
-from repro.cache import cached_assignment
+from repro.cache import cached_assignment, memo
 from repro.comm.collectives import ring_allreduce_time
 from repro.comm.methods import CommMethod, MethodTable
 from repro.core.spst import SPSTPlanner
 from repro.graph.csr import Graph
 from repro.graph.datasets import DATASETS, DatasetSpec, load_dataset
 from repro.gnn.models import GNNModel, build_model
-from repro.obs.metrics import global_metrics
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.obs.tracer import TRAINER_TRACK
 from repro.partition.hierarchical import hierarchical_partition
@@ -60,29 +60,9 @@ SCHEMES = ("dgcl", "peer-to-peer", "swap", "replication")
 
 BYTES_PER_FLOAT = 4
 
-# Partitions, relations and plans are independent of the GNN model (the
-# paper stresses that one plan serves every layer and model), so they are
-# cached process-wide across Workload instances.
-_PARTITION_CACHE: Dict[tuple, object] = {}
-_RELATION_CACHE: Dict[tuple, CommRelation] = {}
-_SPST_CACHE: Dict[tuple, CommPlan] = {}
-_P2P_CACHE: Dict[tuple, CommPlan] = {}
-# evaluate_scheme is pure in (workload identity, scheme, method): the
-# auto-tuner prices the same cell repeatedly across search rungs, so
-# results are memoised process-wide too.
-_EVAL_CACHE: Dict[tuple, "SchemeResult"] = {}
-
-
 def clear_caches() -> None:
     """Drop all memoised partitions/relations/plans (mainly for tests)."""
-    from repro.schemes.builtin import clear_plan_cache
-
-    _PARTITION_CACHE.clear()
-    _RELATION_CACHE.clear()
-    _SPST_CACHE.clear()
-    _P2P_CACHE.clear()
-    _EVAL_CACHE.clear()
-    clear_plan_cache()
+    memo.clear()
 
 
 @dataclass
@@ -150,26 +130,22 @@ class Workload:
         self.compute_model = ComputeModel()
 
     # -- cached expensive artefacts -------------------------------------
-    def _cache_key(self) -> tuple:
+    @cached_property
+    def identity(self) -> tuple:
+        """Content key of the partition, relation and plans.
+
+        Graph and topology are fingerprinted by content, never by name.
+        ``seed`` stays even beside an explicit assignment, because SPST
+        and the scheme builders read it.
+        """
+        from repro.autotune import fingerprint as fp  # autotune imports us
+
         if self._assignment is not None:
-            from repro.autotune.fingerprint import partition_fingerprint
-
-            part = ("explicit", partition_fingerprint(self._assignment))
+            part = fp.partition_fingerprint(self._assignment)
         else:
-            part = (self.partitioner,)
-        return (
-            self.dataset,
-            self.topology.name,
-            self.topology.num_devices,
-            self.seed,
-        ) + part
-
-    @staticmethod
-    def _count_cache(name: str, hit: bool) -> None:
-        """Account a memo-table lookup on the process-wide registry."""
-        global_metrics().counter(
-            "cache.lookups", cache=name, outcome="hit" if hit else "miss"
-        ).inc()
+            part = self.partitioner
+        return (fp.graph_fingerprint(self.graph),
+                fp.topology_fingerprint(self.topology), self.seed, part)
 
     def _compute_assignment(self) -> np.ndarray:
         """Run the configured partitioner (the cold path)."""
@@ -183,62 +159,49 @@ class Workload:
             self.graph, self.topology, seed=self.seed
         ).assignment
 
+    def _build_partition(self):
+        if self._assignment is not None:
+            assignment = np.asarray(self._assignment, dtype=np.int64)
+        else:
+            assignment = cached_assignment(
+                ("partition",) + self.identity,
+                self.graph.num_vertices,
+                self._compute_assignment,
+            )
+        from repro.partition.metis import PartitionResult, edge_cut
+
+        sizes = np.bincount(assignment, minlength=self.num_devices)
+        n = self.graph.num_vertices
+        return PartitionResult(
+            assignment=assignment,
+            num_parts=self.num_devices,
+            edge_cut=edge_cut(self.graph, assignment),
+            imbalance=float(sizes.max() / (n / self.num_devices)) if n else 0.0,
+        )
+
     @cached_property
     def partition(self):
-        key = self._cache_key()
-        self._count_cache("partition", key in _PARTITION_CACHE)
-        if key not in _PARTITION_CACHE:
-            if self._assignment is not None:
-                assignment = np.asarray(self._assignment, dtype=np.int64)
-            else:
-                assignment = cached_assignment(
-                    ("partition",) + key,
-                    self.graph.num_vertices,
-                    self._compute_assignment,
-                )
-            from repro.partition.metis import PartitionResult, edge_cut
-
-            sizes = np.bincount(assignment, minlength=self.num_devices)
-            n = self.graph.num_vertices
-            _PARTITION_CACHE[key] = PartitionResult(
-                assignment=assignment,
-                num_parts=self.num_devices,
-                edge_cut=edge_cut(self.graph, assignment),
-                imbalance=float(sizes.max() / (n / self.num_devices)) if n else 0.0,
-            )
-        return _PARTITION_CACHE[key]
+        return memo.get("partition", self.identity, self._build_partition)
 
     @cached_property
     def relation(self) -> CommRelation:
-        key = self._cache_key()
-        self._count_cache("relation", key in _RELATION_CACHE)
-        if key not in _RELATION_CACHE:
-            _RELATION_CACHE[key] = CommRelation(
-                self.graph, self.partition.assignment, self.topology.num_devices
-            )
-        return _RELATION_CACHE[key]
+        return memo.get("relation", self.identity, lambda: CommRelation(
+            self.graph, self.partition.assignment, self.num_devices
+        ))
 
     @cached_property
     def spst_plan(self) -> CommPlan:
-        key = self._cache_key() + (self.chunks_per_class,)
-        self._count_cache("spst_plan", key in _SPST_CACHE)
-        if key not in _SPST_CACHE:
-            planner = SPSTPlanner(
-                self.topology,
-                granularity="chunk",
-                chunks_per_class=self.chunks_per_class,
-                seed=self.seed,
-            )
-            _SPST_CACHE[key] = planner.plan(self.relation)
-        return _SPST_CACHE[key]
+        return memo.get(
+            "spst_plan", self.identity + (self.chunks_per_class,),
+            lambda: SPSTPlanner(
+                self.topology, granularity="chunk",
+                chunks_per_class=self.chunks_per_class, seed=self.seed,
+            ).plan(self.relation))
 
     @cached_property
     def p2p_plan(self) -> CommPlan:
-        key = self._cache_key()
-        self._count_cache("p2p_plan", key in _P2P_CACHE)
-        if key not in _P2P_CACHE:
-            _P2P_CACHE[key] = peer_to_peer_plan(self.relation, self.topology)
-        return _P2P_CACHE[key]
+        return memo.get("p2p_plan", self.identity,
+                        lambda: peer_to_peer_plan(self.relation, self.topology))
 
     # -- shared helpers --------------------------------------------------
     @property
@@ -491,11 +454,6 @@ def _evaluate_replication(workload: Workload) -> SchemeResult:
     )
 
 
-def _copy_result(result: SchemeResult) -> SchemeResult:
-    """Independent copy of a memoised result (detail dict included)."""
-    return replace(result, detail=dict(result.detail))
-
-
 def evaluate_scheme(
     workload: Workload,
     *,
@@ -534,10 +492,10 @@ def evaluate_scheme(
     aggregation (``distgnn-delayed``) amortise their communication over
     ``staleness + 1`` epochs; exact schemes ignore it.
 
-    Identical ``(workload, scheme, method, fidelity, staleness)`` cells
-    are memoised process-wide (the tuner prices the same cell across
-    search rungs); telemetry-armed calls bypass the memo so spans are
-    always emitted.
+    Identical cells are memoised by content in :data:`repro.cache.memo`
+    (the tuner prices the same cell across search rungs); each call gets
+    its own copy, labelled with its workload's dataset name.
+    Telemetry-armed calls bypass the memo so spans are always emitted.
     """
     from repro.schemes import EvalContext, get_scheme
 
@@ -547,27 +505,24 @@ def evaluate_scheme(
     scheme = spec.name
     if not spec.supports_staleness:
         staleness = 0
-    method_key = str(method) if method is not None else None
-    memo_key = None
-    if not telemetry.armed:
-        memo_key = workload._cache_key() + (
-            workload.model_name, workload.num_layers,
-            workload.chunks_per_class, scheme, spec.version, method_key,
-            fidelity, staleness,
-        )
-        Workload._count_cache("evaluate", memo_key in _EVAL_CACHE)
-        if memo_key in _EVAL_CACHE:
-            return _copy_result(_EVAL_CACHE[memo_key])
-
     methods = None
     if method is not None and spec.tunable_method:
         forced = method if isinstance(method, CommMethod) else CommMethod(method)
         methods = MethodTable(workload.topology, force=forced)
 
-    result = spec.cost_fn(workload, EvalContext(
-        fidelity=fidelity, staleness=staleness, methods=methods,
-        telemetry=telemetry,
-    ))
-    if memo_key is not None:
-        _EVAL_CACHE[memo_key] = _copy_result(result)
-    return result
+    def price() -> SchemeResult:
+        return spec.cost_fn(workload, EvalContext(
+            fidelity=fidelity, staleness=staleness, methods=methods,
+            telemetry=telemetry,
+        ))
+
+    if telemetry.armed:
+        return price()
+    key = workload.identity + (
+        workload.model_name, tuple(workload.model.layer_dims),
+        workload.num_layers, workload.chunks_per_class, scheme,
+        spec.version, str(method) if method is not None else None,
+        fidelity, staleness,
+    )
+    result = memo.get("evaluate", key, price)
+    return replace(result, dataset=workload.dataset, detail=dict(result.detail))

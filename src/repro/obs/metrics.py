@@ -182,12 +182,8 @@ class MetricsRegistry:
         )
 
 
-#: Process-wide registry for process state that belongs to no run: the
-#: memo tables' ``cache.lookups{cache,outcome}``.  Run-scoped counters
-#: go on ``Telemetry.metrics`` instead.  Tests reset it via clear().
-_GLOBAL = MetricsRegistry()
-
-
 def global_metrics() -> MetricsRegistry:
-    """The process-wide registry (memo-table ``cache.lookups`` only)."""
-    return _GLOBAL
+    """Alias of ``repro.cache.memo.metrics`` for readers outside ``src/``."""
+    from repro.cache import memo  # lazy: repro.cache imports this module
+
+    return memo.metrics

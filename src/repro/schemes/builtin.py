@@ -15,33 +15,28 @@ SchemeResult``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable
 
+from repro.cache import memo
 from repro.schemes.registry import EvalContext, SchemeSpec, global_registry
 
-__all__ = ["generic_plan_cost_fn", "clear_plan_cache"]
-
-# Compiled scheme plans are pure in (workload identity, scheme), like
-# the SPST/p2p plans cached in repro.baselines.strategies; cached here
-# process-wide so tuner rungs do not rebuild them.
-_SCHEME_PLAN_CACHE: Dict[tuple, object] = {}
+__all__ = ["generic_plan_cost_fn", "scheme_plan"]
 
 
-def clear_plan_cache() -> None:
-    """Drop memoised scheme plans (wired into baselines.clear_caches)."""
-    _SCHEME_PLAN_CACHE.clear()
+def scheme_plan(workload, name: str):
+    """The named scheme's plan for a workload, built once per process.
 
-
-def _cached_plan(workload, name: str):
-    """Build (once) the named scheme's plan for a workload's relation."""
-    key = workload._cache_key() + (name,)
-    if key not in _SCHEME_PLAN_CACHE:
-        spec = global_registry().get(name)
-        _SCHEME_PLAN_CACHE[key] = spec.build_plan(
-            workload.relation, workload.topology,
-            chunks_per_class=workload.chunks_per_class, seed=workload.seed,
-        )
-    return _SCHEME_PLAN_CACHE[key]
+    Memoised in :data:`repro.cache.memo` under the workload's content
+    key plus everything the builder reads: the scheme's name and
+    version and the chunking (tuner rungs then reuse it).
+    """
+    spec = global_registry().get(name)
+    key = workload.identity + (spec.name, spec.version,
+                               workload.chunks_per_class)
+    return memo.get("scheme_plan", key, lambda: spec.build_plan(
+        workload.relation, workload.topology,
+        chunks_per_class=workload.chunks_per_class, seed=workload.seed,
+    ))
 
 
 def generic_plan_cost_fn(name: str) -> Callable:
@@ -58,7 +53,7 @@ def generic_plan_cost_fn(name: str) -> Callable:
         from repro.baselines.strategies import _evaluate_partitioned
 
         return _evaluate_partitioned(
-            workload, name, _cached_plan(workload, name), nonatomic=False,
+            workload, name, scheme_plan(workload, name), nonatomic=False,
             methods=ctx.methods, fidelity=ctx.fidelity,
             telemetry=ctx.telemetry,
         )
@@ -143,7 +138,7 @@ def _distgnn_cost(workload, ctx: EvalContext):
     from repro.baselines.strategies import _evaluate_partitioned
 
     result = _evaluate_partitioned(
-        workload, "distgnn-delayed", _cached_plan(workload, "distgnn-delayed"),
+        workload, "distgnn-delayed", scheme_plan(workload, "distgnn-delayed"),
         nonatomic=False, methods=ctx.methods, fidelity=ctx.fidelity,
         telemetry=ctx.telemetry,
     )

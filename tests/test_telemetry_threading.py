@@ -4,8 +4,8 @@ Outside ``repro.obs`` no function parameter or dataclass field may be
 named after a single sink (``tracer``, ``metrics``, ``auditor``,
 ``recorder``) — components take ``telemetry: Telemetry`` instead.  The
 two ``arm_telemetry`` functions keep their pinned per-sink signature.
-The process-wide ``global_metrics()`` registry is reserved for the
-memo tables' ``cache.lookups`` in ``baselines/strategies.py``.
+No module calls ``global_metrics()``: the memo tables count their
+``cache.lookups`` on the memo store's own registry.
 """
 
 import ast
@@ -20,7 +20,6 @@ NOT_SINKS = {
     # The chaos oracle's run observation stores a metrics *snapshot*.
     ("chaos/oracles.py", "RunObservation", "metrics"),
 }
-GLOBAL_METRICS_HOME = "baselines/strategies.py"
 
 
 def _modules():
@@ -80,16 +79,17 @@ def test_arm_telemetry_keeps_its_sink_signature():
     assert names == ["api.py", "api.py"]
 
 
-def test_global_metrics_only_for_memo_tables():
+def test_no_src_module_calls_global_metrics():
     calls = []
-    for rel, tree in _modules():
-        for node in ast.walk(tree):
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = getattr(func, "id", getattr(func, "attr", None))
                 if name == "global_metrics":
                     calls.append(rel)
-    assert calls == [GLOBAL_METRICS_HOME], calls
+    assert calls == [], "read repro.cache.memo.metrics instead: %s" % calls
 
 
 @pytest.mark.parametrize("hit", sorted(NOT_SINKS))
